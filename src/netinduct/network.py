@@ -10,6 +10,7 @@ its grid connection point.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -173,22 +174,40 @@ def _disconnected_node(ids, edges) -> int | None:
 # ---------------------------------------------------------------------------
 # JSON document handling
 
+def _node_id(value: Any, where: str) -> int:
+    """A JSON integer; floats (1.7 would truncate to 1) and booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{where}: node id must be an integer, got {value!r}")
+    return value
+
+
+def _finite(value: Any, where: str) -> float:
+    """A finite float; JSON NaN and Infinity parse, and would pass every sign check."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ParseError(f"{where}: must be a finite number, got {value!r}")
+    return x
+
+
 def network_from_dict(doc: dict[str, Any]) -> PowerNetwork:
     """Build a validated PowerNetwork from a parsed JSON document."""
     try:
         line = doc["line"]
         nodes = tuple(sorted(
-            (NodeSpec(int(nd["id"]), str(nd["role"]), float(nd["r_out"]), float(nd["l_out"]))
-             for nd in doc["nodes"]),
+            (NodeSpec(_node_id(nd["id"], f"nodes[{i}].id"), str(nd["role"]),
+                      _finite(nd["r_out"], f"nodes[{i}].r_out"),
+                      _finite(nd["l_out"], f"nodes[{i}].l_out"))
+             for i, nd in enumerate(doc["nodes"])),
             key=lambda nd: nd.id))
-        edges = tuple(EdgeSpec(int(e["a"]), int(e["b"]), float(e["length"]))
-                      for e in doc["edges"])
+        edges = tuple(EdgeSpec(_node_id(e["a"], f"edges[{k}].a"), _node_id(e["b"], f"edges[{k}].b"),
+                               _finite(e["length"], f"edges[{k}].length"))
+                      for k, e in enumerate(doc["edges"]))
         return PowerNetwork(
             nodes=nodes,
             edges=edges,
-            r_per_len=float(line["r_per_len"]),
-            l_per_len=float(line["l_per_len"]),
-            omega=float(doc["frequency_rad_s"]),
+            r_per_len=_finite(line["r_per_len"], "line.r_per_len"),
+            l_per_len=_finite(line["l_per_len"], "line.l_per_len"),
+            omega=_finite(doc["frequency_rad_s"], "frequency_rad_s"),
             length_unit=str(line["length_unit"]),
         )
     except KeyError as exc:

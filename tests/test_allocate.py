@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netinduct import (AllocationProblem, ValidationError, allocation_landscape,
                        build_laplacian, design_nonuniform, design_uniform,
                        eig_symmetric, kron_reduce_real, load_network,
                        measure_report, optimize_allocation)
+from netinduct.allocate import _GAP_TARGET
 from conftest import make_network, random_connected_edges
 
 
@@ -39,7 +41,8 @@ def test_result_carries_measure(fixtures_dir):
     assert res.psi_nir == pytest.approx((res.lam2 + 0.001) / 0.7, rel=1e-12)
     assert res.theta_nir == pytest.approx(
         math.atan(100 * math.pi * res.psi_nir), rel=1e-12)
-    assert res.diagnostics["starts"] == 13  # n + 1 + extra_starts
+    assert res.diagnostics["starts"] == 1
+    assert 0.0 <= res.diagnostics["gap"] <= 1e-9
 
 
 def test_budget_scaling_invariance(fixtures_dir):
@@ -93,6 +96,77 @@ def test_problem_validation(fixtures_dir):
     with pytest.raises(ValidationError, match="expected 4"):
         optimize_allocation(_star_problem(
             fixtures_dir, lower_bounds=np.zeros(3)))
+
+
+def test_single_node_rejected():
+    with pytest.raises(ValidationError, match="at least 2 nodes"):
+        optimize_allocation(AllocationProblem(np.zeros((1, 1)), 1e-3))
+
+
+def test_disconnected_laplacian_rejected():
+    L = np.zeros((3, 3))
+    L[:2, :2] = [[1.0, -1.0], [-1.0, 1.0]]
+    with pytest.raises(ValidationError, match="disconnected"):
+        optimize_allocation(AllocationProblem(L, 1e-3))
+
+
+def test_bounds_spending_the_budget_are_returned(fixtures_dir):
+    bounds = np.array([1e-3, 2e-3, 1.5e-3, 0.5e-3])
+    res = optimize_allocation(_star_problem(fixtures_dir, lower_bounds=bounds))
+    assert np.array_equal(res.allocation, bounds)
+    assert res.diagnostics["passes"] == 0
+    assert res.diagnostics["gap"] <= _GAP_TARGET
+
+
+# --- certified solver, by property ------------------------------------------------
+
+def _lam2(d, L):
+    """lam2(diag(d) L) through D^1/2 L D^1/2, independent of the package."""
+    r = np.sqrt(d)
+    return np.linalg.eigvalsh(r[:, None] * L * r[None, :])[1]
+
+
+@st.composite
+def allocation_problems(draw, max_n=12):
+    n = draw(st.integers(2, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    L = build_laplacian(make_network(random_connected_edges(rng, n))).matrix
+    budget = draw(st.floats(1e-6, 1.0))
+    weights = np.array(draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0, 3.0]),
+                                     min_size=n, max_size=n)))
+    share = draw(st.sampled_from([0.0, 0.3, 0.9, 0.999]))
+    bounds = budget * share * weights / weights.sum() if weights.sum() > 0 else np.zeros(n)
+    return L, budget, bounds
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(allocation_problems())
+def test_allocation_feasible_and_certified(problem):
+    L, budget, bounds = problem
+    res = optimize_allocation(AllocationProblem(L, budget, lower_bounds=bounds))
+    d = res.allocation
+    assert d.sum() == pytest.approx(budget, rel=1e-12)
+    assert np.all(d >= bounds)
+    n = L.shape[0]
+    uniform = bounds + (budget - bounds.sum()) / n
+    assert res.lam2 >= _lam2(uniform, L) * (1 - 1e-12)
+    gap, upper = res.diagnostics["gap"], res.diagnostics["upper_bound"]
+    assert gap <= _GAP_TARGET
+    assert gap == pytest.approx(max(0.0, (upper - res.lam2) / upper), abs=1e-15)
+    # the certificate bounds every feasible allocation, not just the returned one
+    rng = np.random.default_rng(0)
+    for w in rng.dirichlet(np.ones(n), size=20):
+        assert _lam2(bounds + (budget - bounds.sum()) * w, L) <= upper * (1 + 1e-12)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(allocation_problems(max_n=4))
+def test_allocation_beats_landscape_grid(problem):
+    L, budget, bounds = problem
+    prob = AllocationProblem(L, budget, lower_bounds=bounds)
+    res = optimize_allocation(prob)
+    grid_best = allocation_landscape(prob, resolution=20)[:, -1].max()
+    assert res.lam2 >= grid_best * (1 - res.diagnostics["gap"]) - 1e-15 * grid_best
 
 
 # --- landscape ----------------------------------------------------------------

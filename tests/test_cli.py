@@ -166,3 +166,23 @@ def test_output_file_analyze(capsys, tmp_path):
     code, out, _ = run(capsys, "analyze", FIXTURES / "complete4.json", "-o", dest)
     assert code == 0 and out == ""
     assert json.loads(dest.read_text())["regime"] == "lambda2"
+
+
+def test_optimize_more_than_six_nodes(capsys):
+    code, out, err = run(capsys, "optimize", FIXTURES / "ieee13_50hz.json",
+                         "--budget", "5e-3")
+    assert code == 0 and err == ""
+    rep = json.loads(out)
+    assert len(rep["allocation"]) == 13
+    assert sum(rep["allocation"].values()) == pytest.approx(5e-3, rel=1e-12)
+    assert rep["diagnostics"]["starts"] == 1
+    assert rep["diagnostics"]["gap"] <= 1e-9
+
+
+def test_non_finite_input_is_input_error(capsys, tmp_path):
+    bad = tmp_path / "nan.json"
+    bad.write_text((FIXTURES / "twonode.json").read_text()
+                   .replace('"r_per_len": 0.7', '"r_per_len": NaN'))
+    code, out, err = run(capsys, "analyze", bad)
+    assert code == 2 and out == ""
+    assert "line.r_per_len" in err

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -192,3 +193,32 @@ def test_serialization_round_trip(fixtures_dir, tmp_path, name):
     assert load_network(out) == net
     # dict round trip too
     assert network_from_dict(json.loads(json.dumps(network_to_dict(net)))) == net
+
+
+@pytest.mark.parametrize("mutate, field", [
+    (lambda d: d["line"].update(r_per_len=math.nan), "line.r_per_len"),
+    (lambda d: d["line"].update(l_per_len=math.inf), "line.l_per_len"),
+    (lambda d: d["edges"][0].update(length=-math.inf), "edges[0].length"),
+    (lambda d: d["nodes"][0].update(l_out=math.nan), "nodes[0].l_out"),
+    (lambda d: d.update(frequency_rad_s=math.inf), "frequency_rad_s"),
+])
+def test_non_finite_numbers_rejected(mutate, field):
+    # json writes these as NaN / Infinity, which parse and pass every sign check
+    d = doc([1, 2], [(1, 2, 1.0)])
+    mutate(d)
+    text = json.dumps(d)
+    assert "NaN" in text or "Infinity" in text
+    with pytest.raises(ParseError, match=re.escape(field)):
+        network_from_json(text)
+
+
+@pytest.mark.parametrize("bad", [1.7, 2.0, True, "2", None])
+def test_non_integer_ids_rejected(bad):
+    nodes = doc([1, 2], [(1, 2, 1.0)])
+    nodes["nodes"][1]["id"] = bad
+    with pytest.raises(ParseError, match=r"nodes\[1\]\.id"):
+        network_from_dict(nodes)
+    edges = doc([1, 2], [(1, 2, 1.0)])
+    edges["edges"][0]["b"] = bad
+    with pytest.raises(ParseError, match=r"edges\[0\]\.b"):
+        network_from_dict(edges)

@@ -108,6 +108,17 @@ def _spread(v: np.ndarray) -> float:
 
 
 def _validate(net: PowerNetwork) -> None:
+    # NaN and Infinity (JSON accepts both, and so do the CLI overrides) would
+    # pass every sign check below
+    numbers = [("line.r_per_len", net.r_per_len), ("line.l_per_len", net.l_per_len),
+               ("frequency_rad_s", net.omega)]
+    numbers += [(f"nodes[{i}].{name}", getattr(nd, name))
+                for i, nd in enumerate(net.nodes) for name in ("r_out", "l_out")]
+    numbers += [(f"edges[{k}].length", e.length) for k, e in enumerate(net.edges)]
+    for where, value in numbers:
+        if not math.isfinite(value):
+            raise ValidationError(f"{where}: must be a finite number, got {value!r}")
+
     ids = [nd.id for nd in net.nodes]
     if not ids:
         raise ValidationError("nodes: empty node list")
@@ -181,33 +192,24 @@ def _node_id(value: Any, where: str) -> int:
     return value
 
 
-def _finite(value: Any, where: str) -> float:
-    """A finite float; JSON NaN and Infinity parse, and would pass every sign check."""
-    x = float(value)
-    if not math.isfinite(x):
-        raise ParseError(f"{where}: must be a finite number, got {value!r}")
-    return x
-
-
 def network_from_dict(doc: dict[str, Any]) -> PowerNetwork:
     """Build a validated PowerNetwork from a parsed JSON document."""
     try:
         line = doc["line"]
         nodes = tuple(sorted(
             (NodeSpec(_node_id(nd["id"], f"nodes[{i}].id"), str(nd["role"]),
-                      _finite(nd["r_out"], f"nodes[{i}].r_out"),
-                      _finite(nd["l_out"], f"nodes[{i}].l_out"))
+                      float(nd["r_out"]), float(nd["l_out"]))
              for i, nd in enumerate(doc["nodes"])),
             key=lambda nd: nd.id))
         edges = tuple(EdgeSpec(_node_id(e["a"], f"edges[{k}].a"), _node_id(e["b"], f"edges[{k}].b"),
-                               _finite(e["length"], f"edges[{k}].length"))
+                               float(e["length"]))
                       for k, e in enumerate(doc["edges"]))
         return PowerNetwork(
             nodes=nodes,
             edges=edges,
-            r_per_len=_finite(line["r_per_len"], "line.r_per_len"),
-            l_per_len=_finite(line["l_per_len"], "line.l_per_len"),
-            omega=_finite(doc["frequency_rad_s"], "frequency_rad_s"),
+            r_per_len=float(line["r_per_len"]),
+            l_per_len=float(line["l_per_len"]),
+            omega=float(doc["frequency_rad_s"]),
             length_unit=str(line["length_unit"]),
         )
     except KeyError as exc:

@@ -186,3 +186,9 @@ def test_non_finite_input_is_input_error(capsys, tmp_path):
     code, out, err = run(capsys, "analyze", bad)
     assert code == 2 and out == ""
     assert "line.r_per_len" in err
+
+
+def test_non_finite_override_is_input_error(capsys):
+    code, out, err = run(capsys, "analyze", FIXTURES / "star.json", "--lo", "nan")
+    assert code == 2 and out == ""
+    assert "l_out" in err

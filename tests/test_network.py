@@ -208,7 +208,7 @@ def test_non_finite_numbers_rejected(mutate, field):
     mutate(d)
     text = json.dumps(d)
     assert "NaN" in text or "Infinity" in text
-    with pytest.raises(ParseError, match=re.escape(field)):
+    with pytest.raises(ValidationError, match=re.escape(field)):
         network_from_json(text)
 
 

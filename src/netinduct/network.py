@@ -108,17 +108,8 @@ def _spread(v: np.ndarray) -> float:
 
 
 def _validate(net: PowerNetwork) -> None:
-    # NaN and Infinity (JSON accepts both, and so do the CLI overrides) would
-    # pass every sign check below
-    numbers = [("line.r_per_len", net.r_per_len), ("line.l_per_len", net.l_per_len),
-               ("frequency_rad_s", net.omega)]
-    numbers += [(f"nodes[{i}].{name}", getattr(nd, name))
-                for i, nd in enumerate(net.nodes) for name in ("r_out", "l_out")]
-    numbers += [(f"edges[{k}].length", e.length) for k, e in enumerate(net.edges)]
-    for where, value in numbers:
-        if not math.isfinite(value):
-            raise ValidationError(f"{where}: must be a finite number, got {value!r}")
-
+    # NaN and Infinity (JSON accepts both, and so do the CLI overrides) pass
+    # every sign check, so each number is first checked to be finite
     ids = [nd.id for nd in net.nodes]
     if not ids:
         raise ValidationError("nodes: empty node list")
@@ -129,10 +120,17 @@ def _validate(net: PowerNetwork) -> None:
     for i, nd in enumerate(net.nodes):
         if nd.role not in ROLES:
             raise ValidationError(f"nodes[{i}].role: {nd.role!r} not in {ROLES}")
+        for name, value in (("r_out", nd.r_out), ("l_out", nd.l_out)):
+            if not math.isfinite(value):
+                raise ValidationError(f"nodes[{i}].{name}: must be a finite number, got {value!r}")
         if nd.r_out < 0:
             raise ValidationError(f"nodes[{i}].r_out: negative output resistance {nd.r_out}")
         if nd.l_out < 0:
             raise ValidationError(f"nodes[{i}].l_out: negative output inductance {nd.l_out}")
+    for where, value in (("line.r_per_len", net.r_per_len), ("line.l_per_len", net.l_per_len),
+                         ("frequency_rad_s", net.omega)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{where}: must be a finite number, got {value!r}")
     if net.r_per_len <= 0:
         raise ValidationError(f"line.r_per_len: must be > 0, got {net.r_per_len}")
     if net.l_per_len <= 0:
@@ -153,6 +151,8 @@ def _validate(net: PowerNetwork) -> None:
         if key in seen:
             raise ValidationError(f"edges[{k}]: duplicate undirected edge {{{e.a}, {e.b}}}")
         seen.add(key)
+        if not math.isfinite(e.length):
+            raise ValidationError(f"edges[{k}].length: must be a finite number, got {e.length!r}")
         if e.length <= 0:
             raise ValidationError(f"edges[{k}].length: must be > 0, got {e.length}")
 

@@ -156,7 +156,7 @@ def _interior_point(A: np.ndarray, beta: np.ndarray):
         r_budget = x.sum() - 1.0
 
         def direction(Wc, uc):
-            """Newton step towards W Z = mu' I and u s = mu'; Wc and uc carry mu' and the corrector."""
+            """Newton step towards W Z = mu' I, u s = mu'; Wc, uc carry mu' and the corrector."""
             rhs = np.concatenate([r_dual + np.einsum("ij,ij->i", A @ Wc, A) + uc,
                                   [-r_trace - np.trace(Wc)], [-r_budget]])
             sol = _solve_kkt(K, rhs)

@@ -152,7 +152,8 @@ def _validate(net: PowerNetwork) -> None:
             raise ValidationError(f"edges[{k}]: duplicate undirected edge {{{e.a}, {e.b}}}")
         seen.add(key)
         if not math.isfinite(e.length):
-            raise ValidationError(f"edges[{k}].length: must be a finite number, got {e.length!r}")
+            raise ValidationError(
+                f"edges[{k}].length: must be a finite number, got {e.length!r}")
         if e.length <= 0:
             raise ValidationError(f"edges[{k}].length: must be > 0, got {e.length}")
 

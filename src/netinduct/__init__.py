@@ -17,6 +17,6 @@ from .simulate import (DecayRates, EnvelopeVerdict, Trajectory, default_time_gri
                        fit_decay_rates, homogeneous_solution, trajectory_csv,
                        verify_envelopes)
 from .spectra import (Connectivity, Spectrum, algebraic_connectivity, eig_general,
-                      eig_product, eig_symmetric, sqrtm_psd)
+                      eig_product, eig_symmetric)
 
 __version__ = "0.1.0"

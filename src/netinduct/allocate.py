@@ -255,15 +255,9 @@ def allocation_landscape(problem: AllocationProblem, resolution: int) -> np.ndar
     return np.array(rows)
 
 
-def _reduced_lam2(net: PowerNetwork, sources=None):
+def _reduced_matrix(net: PowerNetwork, sources=None) -> np.ndarray:
     lap = build_laplacian(net)
-    if sources is not None:
-        red = kron_reduce_real(lap, sources)
-        matrix = red.matrix
-    else:
-        matrix = lap.matrix
-    lam2 = algebraic_connectivity(eig_symmetric(matrix)).value
-    return matrix, lam2
+    return lap.matrix if sources is None else kron_reduce_real(lap, sources).matrix
 
 
 def design_uniform(net: PowerNetwork, target_theta: float, sources=None,
@@ -274,7 +268,7 @@ def design_uniform(net: PowerNetwork, target_theta: float, sources=None,
     with lam2 taken from the (optionally Kron-reduced) Laplacian.
     """
     r, l, omega = net.r_per_len, net.l_per_len, net.omega
-    _, lam2 = _reduced_lam2(net, sources)
+    lam2 = algebraic_connectivity(eig_symmetric(_reduced_matrix(net, sources))).value
     current = math.atan(omega * l / r)
     if not current <= target_theta < math.pi / 2:
         raise ValidationError(
@@ -291,7 +285,7 @@ def design_nonuniform(net: PowerNetwork, target_theta: float,
     the minimal budget follows in closed form from (lam2 + l)/r = tan(theta)/omega.
     """
     r, l, omega = net.r_per_len, net.l_per_len, net.omega
-    matrix, _ = _reduced_lam2(net, sources)
+    matrix = _reduced_matrix(net, sources)
     current = math.atan(omega * l / r)
     if not current < target_theta < math.pi / 2:
         raise ValidationError(
@@ -302,7 +296,7 @@ def design_nonuniform(net: PowerNetwork, target_theta: float,
     psi_target = math.tan(target_theta) / omega
     budget = (r * psi_target - l) / lam2_hat
     alloc = unit.allocation * budget
-    lam2 = float(eig_product(alloc, matrix).eigenvalues[1])
+    lam2 = budget * lam2_hat
     psi = (lam2 + l) / r
     return AllocationResult(alloc, lam2, psi, math.atan(omega * psi), {
         "budget": budget,

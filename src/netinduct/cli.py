@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -104,6 +105,10 @@ def _worst_case_i0(net: PowerNetwork, dyn: measures.AugmentedDynamics,
 
 def cmd_simulate(args) -> int:
     net = _load(args)
+    if args.tmax is not None and not 0.0 < args.tmax < math.inf:
+        raise ValidationError(f"--tmax: must be a finite number > 0, got {args.tmax!r}")
+    if args.points < 2:
+        raise ValidationError(f"--points: must be >= 2, got {args.points}")
     rep = measures.measure_report(net)
     dyn = measures.assemble_dynamics(net)
     if args.worst_case:
@@ -111,7 +116,8 @@ def cmd_simulate(args) -> int:
     else:
         i0 = np.zeros(net.n)
         i0[0], i0[-1] = 1.0, -1.0
-    grid = np.linspace(0.0, args.tmax if args.tmax else 8.0 * rep.psi_nir, args.points)
+    tmax = 8.0 * rep.psi_nir if args.tmax is None else args.tmax
+    grid = np.linspace(0.0, tmax, args.points)
     traj = simulate.homogeneous_solution(dyn, i0, grid)
     verdict = simulate.verify_envelopes(traj, rep)
     if args.output:

@@ -51,7 +51,10 @@ class MeasureReport:
 
 def assemble_dynamics(net: PowerNetwork) -> AugmentedDynamics:
     """R/L matrices; uniform form when all outputs agree, Lap*D form otherwise."""
-    lap = build_laplacian(net).matrix
+    return _dynamics(net, build_laplacian(net).matrix)
+
+
+def _dynamics(net: PowerNetwork, lap: np.ndarray) -> AugmentedDynamics:
     n = net.n
     eye = np.eye(n)
     r, l = net.r_per_len, net.l_per_len
@@ -90,11 +93,15 @@ def psi_nir_uniform(net: PowerNetwork) -> MeasureReport:
     """
     if not net.uniform_outputs(UNIFORM_RTOL):
         raise ValueError("network has non-uniform output impedances")
+    return _uniform_report(net, build_laplacian(net).matrix)
+
+
+def _uniform_report(net: PowerNetwork, lap: np.ndarray) -> MeasureReport:
     r, l = net.r_per_len, net.l_per_len
     r_o = float(net.r_out_vector()[0])
     l_o = float(net.l_out_vector()[0])
 
-    spec = eig_symmetric(build_laplacian(net).matrix)
+    spec = eig_symmetric(lap)
     lam2 = float(spec.eigenvalues[1])
     lam_max = float(spec.eigenvalues[-1])
 
@@ -121,7 +128,7 @@ def psi_nir_uniform(net: PowerNetwork) -> MeasureReport:
             psi = 1.0 / _rate(lam_max, r_o, r, l_o, l)
             nrr = _rate(lam2, r_o, r, l_o, l)
 
-    a1 = check_assumption1(assemble_dynamics(net))
+    a1 = check_assumption1(_dynamics(net, lap))
     return MeasureReport(psi_nir=psi, psi_nrr=nrr,
                          theta_nir=math.atan(net.omega * psi),
                          regime=regime, mu=1.0, assumption1_ok=a1.ok,
@@ -135,7 +142,10 @@ def psi_nir_nonuniform(net: PowerNetwork) -> MeasureReport:
     spectra of Lap*D_l and Lap*D_r are index-paired ascending and the worst
     quotient over indices 2..n is taken.
     """
-    lap = build_laplacian(net)
+    return _nonuniform_report(net, build_laplacian(net).matrix)
+
+
+def _nonuniform_report(net: PowerNetwork, lap: np.ndarray) -> MeasureReport:
     r, l = net.r_per_len, net.l_per_len
     d_r = net.r_out_vector()
     d_l = net.l_out_vector()
@@ -158,7 +168,7 @@ def psi_nir_nonuniform(net: PowerNetwork) -> MeasureReport:
     mn, mx = float(np.min(d_l)), float(np.max(d_l))
     mu = math.sqrt(mn / mx) if mn > 0.0 and mx > 0.0 else 0.0
 
-    a1 = check_assumption1(assemble_dynamics(net))
+    a1 = check_assumption1(_dynamics(net, lap))
     return MeasureReport(psi_nir=psi, psi_nrr=nrr,
                          theta_nir=math.atan(net.omega * psi),
                          regime="lambda2", mu=mu, assumption1_ok=a1.ok,
@@ -166,10 +176,11 @@ def psi_nir_nonuniform(net: PowerNetwork) -> MeasureReport:
 
 
 def measure_report(net: PowerNetwork) -> MeasureReport:
-    """Dispatch on output uniformity."""
+    """Dispatch on output uniformity; the Laplacian is assembled once."""
+    lap = build_laplacian(net).matrix
     if net.uniform_outputs(UNIFORM_RTOL):
-        return psi_nir_uniform(net)
-    return psi_nir_nonuniform(net)
+        return _uniform_report(net, lap)
+    return _nonuniform_report(net, lap)
 
 
 def theta_nir(report: MeasureReport, omega: float) -> float:

@@ -293,7 +293,15 @@ def build_incidence(net: PowerNetwork) -> IncidenceMatrix:
 
 
 def build_laplacian(net: PowerNetwork) -> WeightedLaplacian:
-    inc = build_incidence(net)
+    """Scatter-add of each edge's weight into L; equals B diag(gamma) B^T."""
+    ids = net.node_ids()
+    index = {nid: i for i, nid in enumerate(ids)}
+    a = np.array([index[e.a] for e in net.edges], dtype=int)
+    b = np.array([index[e.b] for e in net.edges], dtype=int)
     gamma = np.array([1.0 / e.length for e in net.edges])
-    L = inc.matrix @ np.diag(gamma) @ inc.matrix.T
-    return WeightedLaplacian(L, gamma, inc.node_ids)
+    L = np.zeros((net.n, net.n))
+    np.add.at(L, (a, a), gamma)
+    np.add.at(L, (b, b), gamma)
+    np.add.at(L, (a, b), -gamma)
+    np.add.at(L, (b, a), -gamma)
+    return WeightedLaplacian(L, gamma, ids)

@@ -10,7 +10,6 @@ from pathlib import Path
 from typing import IO
 
 import numpy as np
-from scipy.linalg import expm  # scaling-and-squaring Pade
 
 from .errors import SingularMatrixError
 from .measures import AugmentedDynamics, MeasureReport
@@ -84,6 +83,9 @@ def _propagate(A: np.ndarray, i0: np.ndarray, t: np.ndarray) -> np.ndarray:
         alpha = np.linalg.solve(V, i0.astype(complex))
         out = (V @ (np.exp(-np.outer(vals, t)) * alpha[:, None])).real
         return out
+    # imported here so that loading the package does not load scipy
+    from scipy.linalg import expm  # scaling-and-squaring Pade
+
     cols = [i0]
     for k in range(1, t.size):
         cols.append(expm(-A * t[k]) @ i0)

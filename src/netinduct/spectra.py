@@ -2,13 +2,13 @@
 
 Two routes are kept deliberately independent:
 
-* a cyclic Jacobi rotation solver for symmetric matrices (hand-rolled,
-  returns orthonormal eigenvectors), and
+* LAPACK's symmetric solver (``numpy.linalg.eigh``), which returns
+  ascending eigenvalues and orthonormal eigenvectors, and
 * a general real-spectrum solver used purely as a cross-check
   (LAPACK Hessenberg + shifted QR via ``numpy.linalg.eigvals``).
 
 Products D*L of a nonnegative diagonal with a Laplacian are resolved
-through the symmetric matrix L^{1/2} D L^{1/2}, which shares the full
+through the symmetric matrix D^{1/2} L D^{1/2}, which shares the full
 spectrum of D*L, and cross-checked against the general solver.
 """
 
@@ -22,9 +22,6 @@ import numpy as np
 
 from .errors import SpectralMismatchError
 from .network import WeightedLaplacian
-
-_JACOBI_OFFDIAG_TOL = 1e-14
-_MAX_SWEEPS = 60
 
 
 @dataclass(frozen=True)
@@ -50,49 +47,11 @@ def _check_symmetric(A: np.ndarray, rtol: float = 1e-12) -> None:
 
 
 def eig_symmetric(A: np.ndarray) -> Spectrum:
-    """Full spectrum of a symmetric matrix by cyclic Jacobi rotations."""
+    """Full spectrum of a symmetric matrix, ascending, with orthonormal eigenvectors."""
     A = np.asarray(A, dtype=float)
     _check_symmetric(A)
-    n = A.shape[0]
-    B = 0.5 * (A + A.T)  # kill round-off asymmetry before rotating
-    V = np.eye(n)
-    norm = np.linalg.norm(B, "fro")
-    if norm == 0.0:
-        return Spectrum(np.zeros(n), V, True)
-
-    for _ in range(_MAX_SWEEPS):
-        off_part = B - np.diag(np.diag(B))
-        off = np.linalg.norm(off_part, "fro")
-        if off <= _JACOBI_OFFDIAG_TOL * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = B[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                # classic stable rotation angle
-                theta = (B[q, q] - B[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                elif abs(theta) > 1e10:  # asymptotic form, avoids theta**2 overflow
-                    t = 0.5 / theta
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(1.0 + theta * theta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot_p = c * B[:, p] - s * B[:, q]
-                rot_q = s * B[:, p] + c * B[:, q]
-                B[:, p], B[:, q] = rot_p, rot_q
-                rot_p = c * B[p, :] - s * B[q, :]
-                rot_q = s * B[p, :] + c * B[q, :]
-                B[p, :], B[q, :] = rot_p, rot_q
-                vp = c * V[:, p] - s * V[:, q]
-                vq = s * V[:, p] + c * V[:, q]
-                V[:, p], V[:, q] = vp, vq
-
-    vals = np.diag(B).copy()
-    order = np.argsort(vals, kind="stable")
-    return Spectrum(vals[order], V[:, order], True)
+    vals, vecs = np.linalg.eigh(0.5 * (A + A.T))  # drop round-off asymmetry
+    return Spectrum(vals, vecs, True)
 
 
 def eig_general(A: np.ndarray, imag_rtol: float = 1e-8) -> np.ndarray:
@@ -109,14 +68,6 @@ def eig_general(A: np.ndarray, imag_rtol: float = 1e-8) -> np.ndarray:
     return np.sort(vals.real)
 
 
-def sqrtm_psd(L: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a PSD matrix; round-off negatives clamped to 0."""
-    s = eig_symmetric(L)
-    vals = np.where(s.eigenvalues < 0.0, 0.0, s.eigenvalues)
-    U = s.eigenvectors
-    return (U * np.sqrt(vals)) @ U.T
-
-
 def _lap_matrix(L: WeightedLaplacian | np.ndarray) -> np.ndarray:
     return L.matrix if isinstance(L, WeightedLaplacian) else np.asarray(L, dtype=float)
 
@@ -125,7 +76,7 @@ def eig_product(D: np.ndarray, L: WeightedLaplacian | np.ndarray,
                 cross_rtol: float = 1e-6) -> Spectrum:
     """Real spectrum of D*L for nonnegative diagonal D.
 
-    Computed from the symmetric matrix L^{1/2} D L^{1/2} and cross-checked
+    Computed from the symmetric matrix D^{1/2} L D^{1/2} and cross-checked
     against the general solver on D*L.  For nonsingular D a disagreement
     raises; for singular D (a boundary case the symmetric route still
     covers) a disagreement is only reported as a warning.
@@ -137,8 +88,9 @@ def eig_product(D: np.ndarray, L: WeightedLaplacian | np.ndarray,
     if np.any(d < 0):
         raise ValueError("diagonal entries must be nonnegative")
 
-    sqL = sqrtm_psd(Lm)
-    sym_vals = eig_symmetric(sqL @ np.diag(d) @ sqL).eigenvalues
+    _check_symmetric(Lm)
+    sq_d = np.sqrt(d)
+    sym_vals = np.linalg.eigvalsh(sq_d[:, None] * Lm * sq_d[None, :])
 
     gen_vals = eig_general(np.diag(d) @ Lm)
     scale = max(np.max(np.abs(sym_vals)), np.max(np.abs(gen_vals)), 1e-300)

@@ -97,11 +97,13 @@ def test_simulate_csv_output(capsys, tmp_path):
     assert len(lines) == 51
 
 
-def test_simulate_bad_grid_is_numerical_error(capsys):
-    code, _, err = run(capsys, "simulate", FIXTURES / "complete4.json",
-                       "--tmax", "-1")
-    assert code == 3
-    assert err.startswith("error:")
+@pytest.mark.parametrize("grid", [("--tmax", "-1"), ("--tmax", "0"), ("--points", "0")],
+                         ids=["tmax=-1", "tmax=0", "points=0"])
+def test_simulate_bad_grid_is_input_error(capsys, grid):
+    code, out, err = run(capsys, "simulate", FIXTURES / "complete4.json", *grid)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {grid[0]}:")
 
 
 def test_optimize_budget(capsys):

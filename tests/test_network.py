@@ -4,11 +4,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netinduct import (ParseError, ValidationError, build_incidence,
                        build_laplacian, load_network, network_from_dict,
                        network_from_json, network_to_dict, save_network)
-from conftest import make_network
+from conftest import make_network, random_connected_edges
 
 
 def doc(nodes, edges, r=0.7, l=0.001, omega=2 * math.pi * 50):
@@ -173,6 +174,22 @@ def test_laplacian_matches_edgewise_assembly(fixtures_dir, name):
     lap = build_laplacian(net)
     assert np.max(np.abs(lap.matrix - _edgewise_laplacian(net))) <= 1e-12
     assert np.max(np.abs(lap.matrix.sum(axis=1))) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1))
+def test_laplacian_equals_incidence_product(n, seed):
+    # sparse node ids, either edge orientation, lengths over six decades
+    rng = np.random.default_rng(seed)
+    ids = np.sort(rng.choice(10 * n, size=n, replace=False))
+    edges = [(int(ids[b - 1]), int(ids[a - 1]), t) if rng.random() < 0.5
+             else (int(ids[a - 1]), int(ids[b - 1]), t)
+             for a, b, t in random_connected_edges(rng, n, length_range=(1e-3, 1e3))]
+    net = make_network(edges)
+    lap = build_laplacian(net)
+    B = build_incidence(net).matrix
+    expect = B @ np.diag(lap.weights) @ B.T
+    assert np.max(np.abs(lap.matrix - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)

@@ -1,9 +1,13 @@
 import io
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import netinduct
 from netinduct import (AugmentedDynamics, assemble_dynamics, build_laplacian,
                        default_time_grid, eig_symmetric, fit_decay_rates,
                        homogeneous_solution, load_network, measure_report,
@@ -113,6 +117,14 @@ def test_defective_dynamics_uses_expm():
     # exp(-At) = e^{-t} [[1, -t], [0, 1]]
     expect = np.exp(-t) * np.vstack([1.0 + t, -np.ones_like(t)])
     assert np.max(np.abs(traj.currents - expect)) <= 1e-9
+
+
+def test_import_does_not_load_scipy():
+    # scipy serves only the exponential fallback, which imports it on first use
+    src = str(Path(netinduct.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import netinduct; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_projection_warning(fixtures_dir):

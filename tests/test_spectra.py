@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netinduct import (SpectralMismatchError, algebraic_connectivity,
-                       build_laplacian, eig_product, eig_symmetric, load_network,
-                       sqrtm_psd)
+                       build_laplacian, eig_product, eig_symmetric, load_network)
 from conftest import make_network, random_connected_edges
 
 
@@ -41,18 +41,20 @@ def test_rejects_nonsymmetric():
         eig_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-@pytest.mark.parametrize("n", [5, 20, 50])
+@pytest.mark.parametrize("n", [5, 20, 50, 200])
 def test_reconstruction_and_orthonormality(n):
     rng = np.random.default_rng(n)
     A = rng.normal(size=(n, n))
     A = A + A.T
-    s = eig_symmetric(A)
-    U = s.eigenvectors
-    norm = np.linalg.norm(A)
-    assert np.linalg.norm(A - (U * s.eigenvalues) @ U.T) <= 1e-9 * norm
-    assert np.max(np.abs(U.T @ U - np.eye(n))) <= 1e-10
-    assert np.max(np.abs(A @ U - U * s.eigenvalues)) <= 1e-10 * norm
-    assert np.all(np.diff(s.eigenvalues) >= 0)
+    lap = build_laplacian(make_network(random_connected_edges(rng, n))).matrix
+    for M in (A, lap):
+        s = eig_symmetric(M)
+        U = s.eigenvectors
+        norm = np.linalg.norm(M)
+        assert np.linalg.norm(M - (U * s.eigenvalues) @ U.T) <= 1e-9 * norm
+        assert np.max(np.abs(U.T @ U - np.eye(n))) <= 1e-10
+        assert np.max(np.abs(M @ U - U * s.eigenvalues)) <= 1e-10 * norm
+        assert np.all(np.diff(s.eigenvalues) >= 0)
 
 
 # --- products --------------------------------------------------------------
@@ -95,6 +97,20 @@ def test_product_matches_similarity_transform():
         sq_d = np.sqrt(d)
         sym = eig_symmetric(sq_d[:, None] * L * sq_d[None, :]).eigenvalues
         assert np.allclose(s.eigenvalues, sym, rtol=1e-9, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+       zeros=st.integers(1, 11))
+def test_product_with_zero_entries_matches_general_solver(n, seed, zeros):
+    # singular D: the cross-check only warns here, so compare against QR directly
+    rng = np.random.default_rng(seed)
+    L = build_laplacian(make_network(random_connected_edges(rng, n))).matrix
+    d = rng.uniform(0.1, 3.0, size=n)
+    d[rng.permutation(n)[:min(zeros, n - 1)]] = 0.0
+    expect = np.sort(np.linalg.eigvals(np.diag(d) @ L).real)
+    got = eig_product(d, L).eigenvalues
+    assert np.allclose(got, expect, rtol=0, atol=1e-10 * np.max(np.abs(expect)))
 
 
 def test_merikoski_sandwich():
@@ -147,10 +163,3 @@ def test_connectivity_rejects_non_laplacian():
     with pytest.raises(SpectralMismatchError, match="not zero"):
         algebraic_connectivity(s)
 
-
-def test_sqrtm_psd():
-    rng = np.random.default_rng(2)
-    L = build_laplacian(make_network(random_connected_edges(rng, 5))).matrix
-    S = sqrtm_psd(L)
-    assert np.allclose(S @ S, L, atol=1e-12 * np.linalg.norm(L) + 1e-15)
-    assert np.allclose(S, S.T)

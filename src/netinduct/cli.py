@@ -91,11 +91,14 @@ def cmd_kron(args) -> int:
 
 def _worst_case_i0(net: PowerNetwork, dyn: measures.AugmentedDynamics,
                    rep: measures.MeasureReport) -> np.ndarray:
-    """Eigenvector of L^-1 R whose rate is closest to the guaranteed 1/psi."""
-    A = np.linalg.solve(dyn.l_matrix, dyn.r_matrix)
-    vals, vecs = np.linalg.eig(A)
-    k = int(np.argmin(np.abs(vals - 1.0 / rep.psi_nir)))
-    v = np.real(vecs[:, k])
+    """Eigenvector of L^-1 R whose rate is closest to the guaranteed 1/psi.
+
+    Taken from the decomposition the trajectory reuses, so a simulate run
+    eigendecomposes the dynamics once.
+    """
+    dec = dyn.decomposition
+    k = int(np.argmin(np.abs(dec.vals - 1.0 / rep.psi_nir)))
+    v = np.real(dec.vecs[:, k])
     v = v - v.sum() / v.size
     nrm = np.linalg.norm(v)
     if nrm == 0.0:
@@ -130,6 +133,7 @@ def cmd_simulate(args) -> int:
         "upper_envelope_ok": verdict.upper_ok,
         "min_lower_slack": float(np.min(verdict.lower_slack)),
         "min_upper_slack": float(np.min(verdict.upper_slack)),
+        "route": traj.route,
     }
     sys.stdout.write(json.dumps(report, indent=2) + "\n")
     return 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,15 +22,50 @@ from .network import PowerNetwork, build_laplacian
 from .spectra import eig_product, eig_symmetric
 
 UNIFORM_RTOL = 1e-12
+_DIAG_COND_LIMIT = 1e8
+
+
+@dataclass(frozen=True)
+class ModalDecomposition:
+    """Eigendecomposition of A = L^{-1}R and the propagation route it allows."""
+
+    a_matrix: np.ndarray  # L^{-1} R
+    vals: np.ndarray  # decay rates; a real array when the whole spectrum is real
+    vecs: np.ndarray  # right eigenvectors as columns, real alongside real vals
+    route: str  # "modes" (well-conditioned eigenbasis) | "expm"
 
 
 @dataclass(frozen=True)
 class AugmentedDynamics:
-    """R and L matrices of the current dynamics, plus the assembly mode."""
+    """R and L matrices of the current dynamics, plus the assembly mode.
+
+    The matrices are treated as immutable once a trajectory has used them:
+    the first use caches their modal decomposition on the instance.
+    """
 
     r_matrix: np.ndarray
     l_matrix: np.ndarray
     mode: str  # "uniform" | "nonuniform"
+
+    @cached_property
+    def decomposition(self) -> ModalDecomposition:
+        """L^{-1}R with its eigenpairs, computed once per instance.
+
+        Raises SingularMatrixError (on every access, since nothing is cached
+        then) when L is numerically singular.  The route is "modes" when the
+        eigenvector matrix is well conditioned and reproduces A to 1e-10
+        relative, otherwise "expm" (not diagonalizable in double precision).
+        """
+        if np.linalg.cond(self.l_matrix) > 1e14:
+            raise SingularMatrixError("L matrix of the dynamics is singular")
+        A = np.linalg.solve(self.l_matrix, self.r_matrix)
+        vals, V = np.linalg.eig(A)
+        route = "expm"
+        if np.linalg.cond(V) < _DIAG_COND_LIMIT:
+            resid = np.linalg.norm(A @ V - V * vals) / max(np.linalg.norm(A), 1e-300)
+            if resid < 1e-10:
+                route = "modes"
+        return ModalDecomposition(A, vals, V, route)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,9 @@
-"""Homogeneous current trajectories and empirical envelope checks."""
+"""Homogeneous current trajectories and empirical envelope checks.
+
+Every trajectory of one ``AugmentedDynamics`` reuses its modal
+decomposition, computed once on first use; when the spectrum is real the
+modal propagation runs in real arithmetic.
+"""
 
 from __future__ import annotations
 
@@ -11,11 +16,9 @@ from typing import IO
 
 import numpy as np
 
-from .errors import SingularMatrixError
-from .measures import AugmentedDynamics, MeasureReport
+from .measures import AugmentedDynamics, MeasureReport, ModalDecomposition
 
 ENVELOPE_SLACK = 1e-9  # multiplicative round-off allowance at t = 0
-_DIAG_COND_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
@@ -24,6 +27,7 @@ class Trajectory:
     currents: np.ndarray  # n x T
     i0: np.ndarray
     norms: np.ndarray  # ||I(t)|| per sample
+    route: str  # "modes" (eigenmode expansion) | "expm" (matrix exponential)
 
 
 @dataclass(frozen=True)
@@ -50,8 +54,11 @@ def homogeneous_solution(dyn: AugmentedDynamics, i0: np.ndarray,
     """I(t) = exp(-L^{-1}R t) I0 on the given grid.
 
     I0 is projected onto the zero-sum subspace if it violates current
-    conservation beyond round-off.  An eigendecomposition of L^{-1}R is used
-    when well conditioned, otherwise a matrix exponential per grid point.
+    conservation beyond round-off.  L^{-1}R is eigendecomposed once per
+    ``dyn`` (``dyn.decomposition``) and shared by every call on it.  A
+    well-conditioned eigenbasis expands I0 in modes, in real arithmetic when
+    the spectrum is real; otherwise a matrix exponential is taken per grid
+    point.  ``Trajectory.route`` names the route taken.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t[0] != 0.0 or np.any(np.diff(t) <= 0):
@@ -64,31 +71,24 @@ def homogeneous_solution(dyn: AugmentedDynamics, i0: np.ndarray,
                       RuntimeWarning, stacklevel=2)
         i0 = i0 - i0.sum() / n
 
-    if np.linalg.cond(dyn.l_matrix) > 1e14:
-        raise SingularMatrixError("L matrix of the dynamics is singular")
-    A = np.linalg.solve(dyn.l_matrix, dyn.r_matrix)
-
-    currents = _propagate(A, i0, t)
+    dec = dyn.decomposition
+    currents = _propagate(dec, i0, t)
     norms = np.linalg.norm(currents, axis=0)
-    return Trajectory(t, currents, i0, norms)
+    return Trajectory(t, currents, i0, norms, dec.route)
 
 
-def _propagate(A: np.ndarray, i0: np.ndarray, t: np.ndarray) -> np.ndarray:
-    vals, V = np.linalg.eig(A)
-    use_modes = False
-    if np.linalg.cond(V) < _DIAG_COND_LIMIT:
-        resid = np.linalg.norm(A @ V - V * vals) / max(np.linalg.norm(A), 1e-300)
-        use_modes = resid < 1e-10
-    if use_modes:
-        alpha = np.linalg.solve(V, i0.astype(complex))
-        out = (V @ (np.exp(-np.outer(vals, t)) * alpha[:, None])).real
-        return out
+def _propagate(dec: ModalDecomposition, i0: np.ndarray, t: np.ndarray) -> np.ndarray:
+    if dec.route == "modes":
+        # a solve per call, not a cached inverse, for accuracy; with a real
+        # eigenbasis the expansion stays real and .real is a no-op
+        alpha = np.linalg.solve(dec.vecs, i0)
+        return (dec.vecs @ (np.exp(-np.outer(dec.vals, t)) * alpha[:, None])).real
     # imported here so that loading the package does not load scipy
     from scipy.linalg import expm  # scaling-and-squaring Pade
 
     cols = [i0]
     for k in range(1, t.size):
-        cols.append(expm(-A * t[k]) @ i0)
+        cols.append(expm(-dec.a_matrix * t[k]) @ i0)
     return np.column_stack(cols)
 
 
@@ -125,9 +125,9 @@ def fit_decay_rates(traj: Trajectory) -> DecayRates:
     k = max(2, int(math.ceil(0.1 * t.size)))
 
     def slope(ts, ys):
-        A = np.column_stack([ts, np.ones_like(ts)])
-        sol, *_ = np.linalg.lstsq(A, ys, rcond=None)
-        return -sol[0]
+        # closed-form least-squares slope of ys against ts, negated
+        dt = ts - ts.mean()
+        return -np.dot(dt, ys - ys.mean()) / np.dot(dt, dt)
 
     return DecayRates(fastest=float(slope(t[:k], y[:k])),
                       slowest=float(slope(t[-k:], y[-k:])))

@@ -86,6 +86,24 @@ def test_simulate_worst_case(capsys):
     assert rep["min_lower_slack"] <= 1e-6  # worst mode rides the bound
 
 
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
+def test_simulate_reports_route(capsys, name):
+    code, out, _ = run(capsys, "simulate", FIXTURES / name, "--points", "20")
+    assert code == 0
+    assert json.loads(out)["route"] == "modes"
+
+
+def test_simulate_worst_case_adds_no_eigendecomposition(capsys, monkeypatch):
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a) or eig(a))
+    for extra in ((), ("--worst-case",)):
+        calls.clear()
+        code, _, _ = run(capsys, "simulate", FIXTURES / "ieee13_50hz.json", *extra)
+        assert code == 0
+        assert len(calls) == 1
+
+
 def test_simulate_csv_output(capsys, tmp_path):
     dest = tmp_path / "traj.csv"
     code, out, _ = run(capsys, "simulate", FIXTURES / "complete4.json",

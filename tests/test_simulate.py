@@ -6,13 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import netinduct
-from netinduct import (AugmentedDynamics, assemble_dynamics, build_laplacian,
-                       default_time_grid, eig_symmetric, fit_decay_rates,
-                       homogeneous_solution, load_network, measure_report,
-                       trajectory_csv, verify_envelopes)
-from conftest import make_network
+from netinduct import (AugmentedDynamics, SingularMatrixError, assemble_dynamics,
+                       build_laplacian, default_time_grid, eig_symmetric,
+                       fit_decay_rates, homogeneous_solution, load_network,
+                       measure_report, trajectory_csv, verify_envelopes)
+from conftest import FIXTURES, OMEGA_50, make_network, random_connected_edges
 
 
 def _grid(tmax, points=200):
@@ -117,6 +118,88 @@ def test_defective_dynamics_uses_expm():
     # exp(-At) = e^{-t} [[1, -t], [0, 1]]
     expect = np.exp(-t) * np.vstack([1.0 + t, -np.ones_like(t)])
     assert np.max(np.abs(traj.currents - expect)) <= 1e-9
+    assert traj.route == "expm"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
+def test_fixture_dynamics_use_real_modes(name):
+    # a real spectrum keeps the modal expansion in real arithmetic
+    dec = assemble_dynamics(load_network(FIXTURES / name)).decomposition
+    assert dec.route == "modes"
+    assert np.isrealobj(dec.vals) and np.isrealobj(dec.vecs)
+
+
+def test_complex_pair_uses_complex_modes():
+    # A = I + 2J with J a quarter turn: exp(-At) = e^{-t} * rotation by -2t
+    dyn = AugmentedDynamics(np.array([[1.0, -2.0], [2.0, 1.0]]), np.eye(2), "uniform")
+    t = _grid(3.0, 31)
+    i0 = np.array([1.0, -1.0])
+    traj = homogeneous_solution(dyn, i0, t)
+    assert traj.route == "modes"
+    assert np.iscomplexobj(dyn.decomposition.vals)
+    c, s = np.cos(2.0 * t), np.sin(2.0 * t)
+    expect = np.exp(-t) * np.vstack([c * i0[0] + s * i0[1], -s * i0[0] + c * i0[1]])
+    assert np.max(np.abs(traj.currents - expect)) <= 1e-12
+
+
+def test_trajectories_share_one_decomposition(fixtures_dir, monkeypatch):
+    net = load_network(fixtures_dir / "ieee13_50hz.json")
+    dyn = assemble_dynamics(net)
+    grid = default_time_grid(measure_report(net), 100)
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a) or eig(a))
+    rng = np.random.default_rng(5)
+    for _ in range(8):
+        i0 = rng.normal(size=net.n)
+        homogeneous_solution(dyn, i0 - i0.mean(), grid)
+    assert len(calls) == 1
+
+
+def test_singular_inductance_raises_on_every_call():
+    dyn = AugmentedDynamics(np.eye(2), np.zeros((2, 2)), "uniform")
+    for _ in range(2):
+        with pytest.raises(SingularMatrixError, match="singular"):
+            homogeneous_solution(dyn, np.array([1.0, -1.0]), _grid(1.0, 5))
+
+
+def _random_output_network(rng, n, kind):
+    """Connected network with one of the four output kinds the measures handle."""
+    r = float(rng.uniform(0.2, 1.0))
+    l = float(rng.uniform(0.5, 2.0)) * r / OMEGA_50
+    if kind in ("uniform_low", "uniform_high"):
+        l_out = float(rng.uniform(1e-3, 5e-3))
+        f = rng.uniform(0.0, 0.7) if kind == "uniform_low" else rng.uniform(1.5, 4.0)
+        r_out = float(f) * l_out * r / l
+    else:
+        l_out = rng.uniform(0.5e-3, 5e-3, n)
+        r_out = rng.uniform(0.01, 0.5, n) if kind == "per_node_lr" else 0.0
+    edges = random_connected_edges(rng, n, length_range=(0.2, 2.0))
+    return make_network(edges, r=r, l=l, r_out=r_out, l_out=l_out)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 16), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["uniform_low", "uniform_high", "per_node_l", "per_node_lr"]))
+def test_cached_modes_match_matrix_exponential(n, seed, kind):
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(seed)
+    net = _random_output_network(rng, n, kind)
+    dyn = assemble_dynamics(net)
+    A = np.linalg.solve(dyn.l_matrix, dyn.r_matrix)
+    slowest = np.min(np.linalg.eigvals(A).real)
+    t = np.linspace(0.0, 4.0 / slowest, 41)
+    i0 = rng.standard_normal(n)
+    i0 -= i0.mean()
+    homogeneous_solution(dyn, np.zeros(n), t)  # fills the cached decomposition
+    traj = homogeneous_solution(dyn, i0, t)
+    for k in (10, 20, 30, 40):
+        ref = expm(-A * t[k]) @ i0
+        assert np.max(np.abs(traj.currents[:, k] - ref)) <= 1e-9 * np.linalg.norm(i0)
+    fresh = homogeneous_solution(assemble_dynamics(net), i0, t)
+    assert np.array_equal(fresh.currents, traj.currents)
+    assert fresh.route == traj.route
 
 
 def test_import_does_not_load_scipy():
@@ -169,6 +252,24 @@ def test_rates_bracket_two_modes(fixtures_dir):
     assert rates.slowest == pytest.approx(rep.psi_nrr, rel=1e-6)
     assert rates.fastest <= (1.0 / rep.psi_nir) * (1 + 1e-3)
     assert rates.fastest >= rep.psi_nrr * (1 - 1e-12)
+
+
+def test_rates_match_lstsq_fit(fixtures_dir):
+    # reference: the SVD least-squares line through (t, log ||I||) per window
+    net = load_network(fixtures_dir / "ieee13_50hz.json").with_outputs(l_out=2e-3)
+    rep = measure_report(net)
+    dyn = assemble_dynamics(net)
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        i0 = rng.normal(size=net.n)
+        traj = homogeneous_solution(dyn, i0 - i0.mean(), default_time_grid(rep))
+        rates = fit_decay_rates(traj)
+        t, y = traj.times, np.log(traj.norms)
+        k = max(2, math.ceil(0.1 * t.size))
+        for got, sl in ((rates.fastest, slice(None, k)), (rates.slowest, slice(-k, None))):
+            A = np.column_stack([t[sl], np.ones(k)])
+            want = -np.linalg.lstsq(A, y[sl], rcond=None)[0][0]
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_rates_reject_zero_trajectory(fixtures_dir):

@@ -7,8 +7,7 @@ from .errors import (NetinductError, ParseError, SingularMatrixError,
 from .kron import (BranchRecord, ReducedAdmittance, ReducedLaplacian,
                    angle_table_csv, kron_reduce_real, line_angles, phasor_reduce)
 from .measures import (AugmentedDynamics, MeasureReport, assemble_dynamics,
-                       check_assumption1, measure_report, psi_nir_nonuniform,
-                       psi_nir_uniform, theta_nir)
+                       measure_report, psi_nir_nonuniform, psi_nir_uniform)
 from .network import (EdgeSpec, IncidenceMatrix, NodeSpec, PowerNetwork,
                       WeightedLaplacian, build_incidence, build_laplacian,
                       load_network, network_from_dict, network_from_json,
@@ -16,7 +15,7 @@ from .network import (EdgeSpec, IncidenceMatrix, NodeSpec, PowerNetwork,
 from .simulate import (DecayRates, EnvelopeVerdict, Trajectory, default_time_grid,
                        fit_decay_rates, homogeneous_solution, trajectory_csv,
                        verify_envelopes)
-from .spectra import (Connectivity, Spectrum, algebraic_connectivity, eig_general,
-                      eig_product, eig_symmetric)
+from .spectra import (Connectivity, Spectrum, algebraic_connectivity, eig_product,
+                      eig_symmetric)
 
 __version__ = "0.1.0"

@@ -216,7 +216,7 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
         best = b + spent * (free / spent.sum())
         upper = ub * c * lam2_L / k
 
-    lam2 = float(eig_product(best, L).eigenvalues[1])
+    lam2 = float(eig_product(best, L)[1])
     psi = theta = None
     if problem.r_per_len is not None and problem.l_per_len is not None:
         psi = (lam2 + problem.l_per_len) / problem.r_per_len

@@ -14,7 +14,12 @@ class ValidationError(NetinductError):
 
 
 class SpectralMismatchError(NetinductError):
-    """The two eigenvalue routes disagree beyond tolerance."""
+    """A spectral precondition fails.
+
+    Raised for a non-symmetric input to a symmetric solver, a spectrum that is
+    not Laplacian-like (smallest eigenvalue not zero) or a worst-case vector
+    that collapses onto the ones vector.
+    """
 
 
 class SingularMatrixError(NetinductError):

@@ -81,8 +81,9 @@ def kron_reduce_real(lap: WeightedLaplacian, sources: Sequence[int],
     unknown = [s for s in src if s not in ids]
     if unknown:
         raise ValidationError(f"sources: unknown node ids {unknown}")
-    if not src:
-        raise ValidationError("sources: empty source set")
+    if len(src) < 2:
+        raise ValidationError(
+            f"sources: need at least 2 source nodes, got {src or 'an empty source set'}")
 
     if len(src) == len(ids):
         warnings.warn("all nodes are sources; nothing to eliminate", RuntimeWarning,

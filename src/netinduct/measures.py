@@ -7,6 +7,20 @@ image of the incidence matrix; the resistivity ratio is the slowest
 guaranteed rate.  Closed forms exist in terms of the algebraic
 connectivity (uniform outputs) or of the spectra of Lap*D products
 (non-uniform output inductors/resistors).
+
+The measures rest on every eigenvalue of L^{-1}R being real and positive.
+For a valid network (r, l > 0, D_r, D_l >= 0, connected graph) this holds
+by construction, so it is not checked at run time.  Write Lap = S S^T with
+S of full column rank n - 1 (Doerfler & Bullo, "Kron reduction of graphs
+with applications to electrical networks", IEEE TCAS-I 2013):
+
+* 1^T R = r 1^T and 1^T L = l 1^T, so r/l > 0 is an eigenvalue.
+* An eigenvector v of any other eigenvalue rho, (R - rho L) v = 0, gives
+  (r - rho l) 1^T v = 0, so v lies in 1-perp and v = S x.
+* Then (R - rho L) S x = S (R^ - rho L^) x with R^ = r I + S^T D_r S and
+  L^ = l I + S^T D_l S, both symmetric positive definite, so rho is a
+  generalized eigenvalue of an SPD pencil: real and > 0.
+* L is nonsingular: its spectrum is {l} together with spec(L^), all >= l.
 """
 
 from __future__ import annotations
@@ -69,30 +83,19 @@ class AugmentedDynamics:
 
 
 @dataclass(frozen=True)
-class Assumption1Report:
-    ok: bool
-    eigenvalues: np.ndarray  # complex spectrum of L^{-1} R
-
-
-@dataclass(frozen=True)
 class MeasureReport:
     psi_nir: float  # seconds
     psi_nrr: float  # 1/seconds
     theta_nir: float  # radians
     regime: str  # "lambda2" | "lambda_max" | "degenerate"
     mu: float  # envelope constant; 0.0 flags a zero output inductor
-    assumption1_ok: bool
     lambda_used: float
 
 
 def assemble_dynamics(net: PowerNetwork) -> AugmentedDynamics:
     """R/L matrices; uniform form when all outputs agree, Lap*D form otherwise."""
-    return _dynamics(net, build_laplacian(net).matrix)
-
-
-def _dynamics(net: PowerNetwork, lap: np.ndarray) -> AugmentedDynamics:
-    n = net.n
-    eye = np.eye(n)
+    lap = build_laplacian(net).matrix
+    eye = np.eye(net.n)
     r, l = net.r_per_len, net.l_per_len
     if net.uniform_outputs(UNIFORM_RTOL):
         r_o = float(net.r_out_vector()[0])
@@ -101,18 +104,6 @@ def _dynamics(net: PowerNetwork, lap: np.ndarray) -> AugmentedDynamics:
     d_r = np.diag(net.r_out_vector())
     d_l = np.diag(net.l_out_vector())
     return AugmentedDynamics(r * eye + lap @ d_r, l * eye + lap @ d_l, "nonuniform")
-
-
-def check_assumption1(dyn: AugmentedDynamics, imag_rtol: float = 1e-8) -> Assumption1Report:
-    """All eigenvalues of L^{-1}R real (to tolerance) and strictly positive."""
-    L = dyn.l_matrix
-    if np.linalg.cond(L) > 1e14:
-        raise SingularMatrixError("L matrix of the dynamics is singular")
-    A = np.linalg.solve(L, dyn.r_matrix)
-    vals = np.linalg.eigvals(A)
-    radius = max(np.max(np.abs(vals)), 1e-300)
-    ok = bool(np.max(np.abs(vals.imag)) <= imag_rtol * radius and np.min(vals.real) > 0.0)
-    return Assumption1Report(ok, vals)
 
 
 def _rate(lam: float, r_o: float, r: float, l_o: float, l: float) -> float:
@@ -164,11 +155,9 @@ def _uniform_report(net: PowerNetwork, lap: np.ndarray) -> MeasureReport:
             psi = 1.0 / _rate(lam_max, r_o, r, l_o, l)
             nrr = _rate(lam2, r_o, r, l_o, l)
 
-    a1 = check_assumption1(_dynamics(net, lap))
     return MeasureReport(psi_nir=psi, psi_nrr=nrr,
                          theta_nir=math.atan(net.omega * psi),
-                         regime=regime, mu=1.0, assumption1_ok=a1.ok,
-                         lambda_used=lam_used)
+                         regime=regime, mu=1.0, lambda_used=lam_used)
 
 
 def psi_nir_nonuniform(net: PowerNetwork) -> MeasureReport:
@@ -186,7 +175,7 @@ def _nonuniform_report(net: PowerNetwork, lap: np.ndarray) -> MeasureReport:
     d_r = net.r_out_vector()
     d_l = net.l_out_vector()
 
-    lam_l = eig_product(d_l, lap).eigenvalues
+    lam_l = eig_product(d_l, lap)
     if np.all(d_r == 0.0):
         lam2 = float(lam_l[1])
         lam_max = float(lam_l[-1])
@@ -194,7 +183,7 @@ def _nonuniform_report(net: PowerNetwork, lap: np.ndarray) -> MeasureReport:
         nrr = r / (lam_max + l)
         lam_used = lam2
     else:
-        lam_r = eig_product(d_r, lap).eigenvalues
+        lam_r = eig_product(d_r, lap)
         quot = (lam_l[1:] + l) / (lam_r[1:] + r)
         k = int(np.argmin(quot))
         psi = float(quot[k])
@@ -204,11 +193,9 @@ def _nonuniform_report(net: PowerNetwork, lap: np.ndarray) -> MeasureReport:
     mn, mx = float(np.min(d_l)), float(np.max(d_l))
     mu = math.sqrt(mn / mx) if mn > 0.0 and mx > 0.0 else 0.0
 
-    a1 = check_assumption1(_dynamics(net, lap))
     return MeasureReport(psi_nir=psi, psi_nrr=nrr,
                          theta_nir=math.atan(net.omega * psi),
-                         regime="lambda2", mu=mu, assumption1_ok=a1.ok,
-                         lambda_used=lam_used)
+                         regime="lambda2", mu=mu, lambda_used=lam_used)
 
 
 def measure_report(net: PowerNetwork) -> MeasureReport:
@@ -217,10 +204,3 @@ def measure_report(net: PowerNetwork) -> MeasureReport:
     if net.uniform_outputs(UNIFORM_RTOL):
         return _uniform_report(net, lap)
     return _nonuniform_report(net, lap)
-
-
-def theta_nir(report: MeasureReport, omega: float) -> float:
-    """Reactance-to-resistance angle arctan(omega * psi_nir), in (0, pi/2)."""
-    if omega <= 0:
-        raise ValueError("omega must be > 0")
-    return math.atan(omega * report.psi_nir)

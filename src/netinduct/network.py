@@ -231,7 +231,11 @@ def network_from_json(text: str) -> PowerNetwork:
 
 def load_network(path: str | Path) -> PowerNetwork:
     """Load and validate a network document from a JSON file."""
-    return network_from_json(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    return network_from_json(text)
 
 
 def network_to_dict(net: PowerNetwork) -> dict[str, Any]:

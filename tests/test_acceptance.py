@@ -19,8 +19,7 @@ from netinduct import (AllocationProblem, WeightedLaplacian, assemble_dynamics,
                        design_uniform, eig_symmetric, fit_decay_rates,
                        homogeneous_solution, kron_reduce_real, line_angles,
                        load_network, measure_report, optimize_allocation,
-                       phasor_reduce, psi_nir_uniform, theta_nir,
-                       verify_envelopes)
+                       phasor_reduce, psi_nir_uniform, verify_envelopes)
 from conftest import FIXTURES, make_network, random_connected_edges, \
     random_uniform_network
 
@@ -223,7 +222,7 @@ def test_criterion_6_ieee13_design(conformance):
         [(1, 3, 1.0 / 1.76), (1, 7, 1.0 / 0.44), (3, 7, 1.0 / 1.76)],
         r=net.r_per_len, l=net.l_per_len, omega=net.omega, l_out=l_o)
     rep = psi_nir_uniform(reduced_net)
-    assert theta_nir(rep, net.omega) == pytest.approx(target, rel=1e-9)
+    assert rep.theta_nir == pytest.approx(target, rel=1e-9)
 
     non = design_nonuniform(net, target, sources=sources)
     assert non.theta_nir == pytest.approx(target, rel=1e-9)

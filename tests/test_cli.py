@@ -41,6 +41,18 @@ def test_missing_file_is_input_error(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{}"], ids=["directory", "not-utf8"])
+def test_unreadable_network_is_input_error(capsys, tmp_path, content):
+    path = tmp_path / "net.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code, out, err = run(capsys, "analyze", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 def test_malformed_json_is_input_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
@@ -122,6 +134,20 @@ def test_simulate_bad_grid_is_input_error(capsys, grid):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {grid[0]}:")
+
+
+@pytest.mark.parametrize("argv,name", [
+    (("sweep", "--lo-min", "0", "--lo-max", "1e-3"), "--lo-min"),
+    (("sweep", "--lo-min", "1e-4", "--lo-max", "inf"), "--lo-max"),
+    (("sweep", "--lo-min", "1e-4", "--lo-max", "1e-3", "--steps", "0"), "--steps"),
+    (("sweep", "--lo-min", "1e-4", "--lo-max", "1e-3", "--steps", "-3"), "--steps"),
+    (("kron", "--sources", "1"), "sources"),
+], ids=["lo-min=0", "lo-max=inf", "steps=0", "steps=-3", "one-source"])
+def test_bad_sweep_or_sources_is_input_error(capsys, argv, name):
+    code, out, err = run(capsys, argv[0], FIXTURES / "path4.json", *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {name}:")
 
 
 def test_optimize_budget(capsys):

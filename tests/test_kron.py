@@ -77,6 +77,8 @@ def test_real_reduction_errors(fixtures_dir):
         kron_reduce_real(lap, [1, 9])
     with pytest.raises(ValidationError, match="empty"):
         kron_reduce_real(lap, [])
+    with pytest.raises(ValidationError, match="at least 2"):
+        kron_reduce_real(lap, [3])
     with pytest.raises(ValueError, match="r_per_len"):
         kron_reduce_real(lap, [1, 3], load_currents=np.array([1.0]))
     with pytest.raises(ValidationError, match="load_currents"):
@@ -92,7 +94,7 @@ def test_disconnected_load_island_raises():
                   [0.0, 0.0, -1.0, 1.0]])
     lap = WeightedLaplacian(M, np.array([1.0, 1.0]), (1, 2, 3, 4))
     with pytest.raises(SingularMatrixError, match="load block"):
-        kron_reduce_real(lap, [1])
+        kron_reduce_real(lap, [1, 2])
 
 
 # --- phasor reduction --------------------------------------------------------

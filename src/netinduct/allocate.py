@@ -59,10 +59,12 @@ class AllocationProblem:
         b = np.zeros(n) if self.lower_bounds is None else np.asarray(self.lower_bounds, dtype=float)
         if b.shape != (n,):
             raise ValidationError(f"lower_bounds: expected {n} entries")
+        if not np.all(np.isfinite(b)):
+            raise ValidationError("lower_bounds: must be finite numbers")
         if np.any(b < 0):
             raise ValidationError("lower_bounds: negative entry")
-        if self.budget <= 0:
-            raise ValidationError(f"budget: must be > 0, got {self.budget}")
+        if not 0.0 < self.budget < math.inf:
+            raise ValidationError(f"budget: must be a finite number > 0, got {self.budget!r}")
         if b.sum() > self.budget * (1 + 1e-12):
             raise ValidationError("lower_bounds: sum exceeds the budget")
         return b

@@ -25,11 +25,8 @@ from .spectra import algebraic_connectivity, eig_symmetric
 
 def _load(args) -> PowerNetwork:
     net = load_network(args.network)
-    if getattr(args, "omega", None) is not None or getattr(args, "lo", None) is not None \
-            or getattr(args, "ro", None) is not None:
-        net = net.with_outputs(r_out=getattr(args, "ro", None),
-                               l_out=getattr(args, "lo", None),
-                               omega=getattr(args, "omega", None))
+    if args.omega is not None or args.lo is not None or args.ro is not None:
+        net = net.with_outputs(r_out=args.ro, l_out=args.lo, omega=args.omega)
     return net
 
 
@@ -139,13 +136,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _problem(args, net: PowerNetwork) -> allocate.AllocationProblem:
+def _problem(args, net: PowerNetwork, sources: list[int] | None) -> allocate.AllocationProblem:
     lap = build_laplacian(net)
-    if args.sources:
-        red = kron.kron_reduce_real(lap, _parse_sources(args.sources, net))
-        matrix = red.matrix
-    else:
-        matrix = lap.matrix
+    matrix = lap.matrix if sources is None else kron.kron_reduce_real(lap, sources).matrix
     return allocate.AllocationProblem(matrix, args.budget,
                                       r_per_len=net.r_per_len,
                                       l_per_len=net.l_per_len,
@@ -154,14 +147,14 @@ def _problem(args, net: PowerNetwork) -> allocate.AllocationProblem:
 
 def cmd_optimize(args) -> int:
     net = _load(args)
+    sources = _parse_sources(args.sources, net) if args.sources else None
     if args.target_theta is not None:
-        sources = _parse_sources(args.sources, net) if args.sources else None
         res = allocate.design_nonuniform(net, args.target_theta, sources=sources)
     else:
         if args.budget is None:
             raise ValidationError("optimize: --budget or --target-theta is required")
-        res = allocate.optimize_allocation(_problem(args, net))
-    ids = (_parse_sources(args.sources, net) if args.sources else list(net.node_ids()))
+        res = allocate.optimize_allocation(_problem(args, net, sources))
+    ids = list(net.node_ids()) if sources is None else sources
     _emit(json.dumps({
         "allocation": {str(i): v for i, v in zip(ids, res.allocation.tolist())},
         "lambda2": res.lam2,
@@ -174,9 +167,9 @@ def cmd_optimize(args) -> int:
 
 def cmd_landscape(args) -> int:
     net = _load(args)
-    prob = _problem(args, net)
-    grid = allocate.allocation_landscape(prob, args.resolution)
-    ids = (_parse_sources(args.sources, net) if args.sources else list(net.node_ids()))
+    sources = _parse_sources(args.sources, net) if args.sources else None
+    grid = allocate.allocation_landscape(_problem(args, net, sources), args.resolution)
+    ids = list(net.node_ids()) if sources is None else sources
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow([f"coord_{i}" for i in ids] + ["lambda2"])

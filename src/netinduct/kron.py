@@ -19,7 +19,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .errors import SingularMatrixError, ValidationError
-from .network import PowerNetwork, WeightedLaplacian, build_laplacian
+from .network import UNIFORM_RTOL, PowerNetwork, WeightedLaplacian, build_laplacian, spread
 
 EDGE_EPS_SCALE = 1e-9  # relative threshold for absent-edge classification
 ANGLE_CSV_HEADER = ("i", "j", "class", "R_branch", "X_branch", "theta_rad")
@@ -43,16 +43,13 @@ class BranchRecord:
     impedance: complex
     theta_rad: float  # two-argument arctangent of the branch impedance
     theta_principal_rad: float  # plain arctan(Im/Re), sign-convention free
-    theta_alt_rad: float  # two-argument angle under the opposite branch sign
     klass: str  # "physical" | "virtual" | "absent"
-    negative_rl: bool  # negative branch resistance or reactance
 
 
 @dataclass(frozen=True)
 class ReducedAdmittance:
     matrix: np.ndarray  # complex, over all augmented nodes
     node_ids: tuple[int, ...]
-    y_out: complex
     y_line: complex
 
 
@@ -93,7 +90,7 @@ def kron_reduce_real(lap: WeightedLaplacian, sources: Sequence[int],
 
     index = {nid: i for i, nid in enumerate(ids)}
     s_idx = [index[s] for s in src]
-    l_idx = [i for i in range(len(ids)) if i not in set(s_idx)]
+    l_idx = sorted(set(range(len(ids))).difference(s_idx))
     L = lap.matrix
     L_ss = L[np.ix_(s_idx, s_idx)]
     L_sl = L[np.ix_(s_idx, l_idx)]
@@ -130,7 +127,7 @@ def phasor_reduce(net: PowerNetwork, l_out: float | None = None) -> ReducedAdmit
     """
     if l_out is None:
         lv = net.l_out_vector()
-        if np.max(lv) == 0.0 or (np.max(lv) - np.min(lv)) > 1e-12 * np.max(lv):
+        if np.max(lv) == 0.0 or spread(lv) > UNIFORM_RTOL:
             raise ValidationError(
                 "phasor reduction needs a uniform output inductance > 0 "
                 "(set it on the nodes or pass l_out)")
@@ -150,43 +147,37 @@ def phasor_reduce(net: PowerNetwork, l_out: float | None = None) -> ReducedAdmit
             f"(I + (y_l/y_o) L) is singular at omega = {omega!r}")
     Minv = np.linalg.solve(M, np.eye(n, dtype=complex))  # LU with partial pivoting
     Y = y_o * (np.eye(n, dtype=complex) - Minv)
-    return ReducedAdmittance(Y, lap.node_ids, y_o, y_l)
+    return ReducedAdmittance(Y, lap.node_ids, y_l)
 
 
-def line_angles(red: ReducedAdmittance, original: PowerNetwork,
-                eps_scale: float = EDGE_EPS_SCALE) -> tuple[BranchRecord, ...]:
+def line_angles(red: ReducedAdmittance, original: PowerNetwork) -> tuple[BranchRecord, ...]:
     """Per-pair branch angles and physical/virtual classification.
 
     The branch admittance between i != j is -Y_red[i, j]; its reciprocal is
-    the branch impedance.  Angles are reported three ways because the sign
+    the branch impedance.  Angles are reported two ways because the sign
     convention of the branch term only fixes the Im/Re ratio, not the
-    quadrant: a two-argument arctangent for each sign, plus the principal
-    arctan of the ratio.
+    quadrant: a two-argument arctangent, plus the principal arctan of the
+    ratio.
     """
     ids = red.node_ids
-    index = {nid: i for i, nid in enumerate(ids)}
     original_edges = {frozenset((e.a, e.b)) for e in original.edges}
-    eps = eps_scale * np.max(np.abs(red.matrix))
+    eps = EDGE_EPS_SCALE * np.max(np.abs(red.matrix))
 
     records = []
     for a in range(len(ids)):
         for b in range(a + 1, len(ids)):
             i, j = ids[a], ids[b]
-            adm = -red.matrix[index[i], index[j]]
+            adm = -red.matrix[a, b]
             if abs(adm) < eps:
                 records.append(BranchRecord(i, j, complex(adm), complex("nan"),
-                                            math.nan, math.nan, math.nan,
-                                            "absent", False))
+                                            math.nan, math.nan, "absent"))
                 continue
             z = 1.0 / adm
-            theta = math.atan2(z.imag, z.real)
-            theta_alt = math.atan2(-z.imag, -z.real)
             principal = math.atan(z.imag / z.real) if z.real != 0.0 else math.copysign(
                 math.pi / 2, z.imag)
             klass = "physical" if frozenset((i, j)) in original_edges else "virtual"
             records.append(BranchRecord(i, j, complex(adm), complex(z),
-                                        theta, principal, theta_alt, klass,
-                                        bool(z.real < 0.0 or z.imag < 0.0)))
+                                        math.atan2(z.imag, z.real), principal, klass))
     return tuple(records)
 
 

@@ -32,10 +32,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SingularMatrixError
-from .network import PowerNetwork, build_laplacian
+from .network import UNIFORM_RTOL, PowerNetwork, build_laplacian
 from .spectra import eig_product, eig_symmetric
 
-UNIFORM_RTOL = 1e-12
 _DIAG_COND_LIMIT = 1e8
 
 
@@ -51,7 +50,7 @@ class ModalDecomposition:
 
 @dataclass(frozen=True)
 class AugmentedDynamics:
-    """R and L matrices of the current dynamics, plus the assembly mode.
+    """R and L matrices of the current dynamics R I + L dI/dt = 0.
 
     The matrices are treated as immutable once a trajectory has used them:
     the first use caches their modal decomposition on the instance.
@@ -59,7 +58,6 @@ class AugmentedDynamics:
 
     r_matrix: np.ndarray
     l_matrix: np.ndarray
-    mode: str  # "uniform" | "nonuniform"
 
     @cached_property
     def decomposition(self) -> ModalDecomposition:
@@ -93,17 +91,11 @@ class MeasureReport:
 
 
 def assemble_dynamics(net: PowerNetwork) -> AugmentedDynamics:
-    """R/L matrices; uniform form when all outputs agree, Lap*D form otherwise."""
+    """R = r I + Lap D_r and L = l I + Lap D_l, with D_r, D_l the output diagonals."""
     lap = build_laplacian(net).matrix
     eye = np.eye(net.n)
-    r, l = net.r_per_len, net.l_per_len
-    if net.uniform_outputs(UNIFORM_RTOL):
-        r_o = float(net.r_out_vector()[0])
-        l_o = float(net.l_out_vector()[0])
-        return AugmentedDynamics(r_o * lap + r * eye, l_o * lap + l * eye, "uniform")
-    d_r = np.diag(net.r_out_vector())
-    d_l = np.diag(net.l_out_vector())
-    return AugmentedDynamics(r * eye + lap @ d_r, l * eye + lap @ d_l, "nonuniform")
+    return AugmentedDynamics(net.r_per_len * eye + lap * net.r_out_vector(),
+                             net.l_per_len * eye + lap * net.l_out_vector())
 
 
 def _rate(lam: float, r_o: float, r: float, l_o: float, l: float) -> float:
@@ -118,7 +110,7 @@ def psi_nir_uniform(net: PowerNetwork) -> MeasureReport:
     the rate is monotone in lam so the extremes sit at lam_2 or lam_max
     depending on the sign of r_o/l_o - r/l.
     """
-    if not net.uniform_outputs(UNIFORM_RTOL):
+    if not net.uniform_outputs():
         raise ValueError("network has non-uniform output impedances")
     return _uniform_report(net, build_laplacian(net).matrix)
 
@@ -132,28 +124,19 @@ def _uniform_report(net: PowerNetwork, lap: np.ndarray) -> MeasureReport:
     lam2 = float(spec.eigenvalues[1])
     lam_max = float(spec.eigenvalues[-1])
 
-    if r_o == 0.0 and l_o == 0.0:
+    diff = r_o * l - r * l_o  # sign of r_o/l_o - r/l
+    scale = max(abs(r_o * l), abs(r * l_o))
+    if abs(diff) <= UNIFORM_RTOL * scale:  # includes r_o = l_o = 0
         regime, lam_used = "degenerate", lam2
         psi, nrr = l / r, r / l
-    elif l_o == 0.0:
-        # purely resistive outputs: limit r_o/l_o -> infinity
+    elif diff < 0.0:
+        regime, lam_used = "lambda2", lam2
+        psi = 1.0 / _rate(lam2, r_o, r, l_o, l)
+        nrr = _rate(lam_max, r_o, r, l_o, l)
+    else:  # includes purely resistive outputs, l_o = 0 < r_o
         regime, lam_used = "lambda_max", lam_max
-        psi = l / (r_o * lam_max + r)
-        nrr = (r_o * lam2 + r) / l
-    else:
-        diff = r_o * l - r * l_o  # sign of r_o/l_o - r/l
-        scale = max(abs(r_o * l), abs(r * l_o))
-        if abs(diff) <= UNIFORM_RTOL * scale:
-            regime, lam_used = "degenerate", lam2
-            psi, nrr = l / r, r / l
-        elif diff < 0.0:
-            regime, lam_used = "lambda2", lam2
-            psi = 1.0 / _rate(lam2, r_o, r, l_o, l)
-            nrr = _rate(lam_max, r_o, r, l_o, l)
-        else:
-            regime, lam_used = "lambda_max", lam_max
-            psi = 1.0 / _rate(lam_max, r_o, r, l_o, l)
-            nrr = _rate(lam2, r_o, r, l_o, l)
+        psi = 1.0 / _rate(lam_max, r_o, r, l_o, l)
+        nrr = _rate(lam2, r_o, r, l_o, l)
 
     return MeasureReport(psi_nir=psi, psi_nrr=nrr,
                          theta_nir=math.atan(net.omega * psi),
@@ -201,6 +184,6 @@ def _nonuniform_report(net: PowerNetwork, lap: np.ndarray) -> MeasureReport:
 def measure_report(net: PowerNetwork) -> MeasureReport:
     """Dispatch on output uniformity; the Laplacian is assembled once."""
     lap = build_laplacian(net).matrix
-    if net.uniform_outputs(UNIFORM_RTOL):
+    if net.uniform_outputs():
         return _uniform_report(net, lap)
     return _nonuniform_report(net, lap)

@@ -1,4 +1,4 @@
-"""Power network model: loading, validation, incidence and Laplacian assembly.
+"""Power network model: loading, validation and Laplacian assembly.
 
 A network is an undirected connected graph of inverter nodes joined by
 homogeneous distribution lines.  Line resistance and inductance are given
@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ParseError, ValidationError
 
 ROLES = ("source", "load")
+UNIFORM_RTOL = 1e-12  # relative spread below which per-node outputs count as uniform
 
 
 @dataclass(frozen=True)
@@ -66,12 +67,6 @@ class PowerNetwork:
     def node_ids(self) -> tuple[int, ...]:
         return tuple(nd.id for nd in self.nodes)
 
-    def node_index(self, node_id: int) -> int:
-        for i, nd in enumerate(self.nodes):
-            if nd.id == node_id:
-                return i
-        raise ValidationError(f"unknown node id {node_id}")
-
     def r_out_vector(self) -> np.ndarray:
         return np.array([nd.r_out for nd in self.nodes])
 
@@ -81,11 +76,10 @@ class PowerNetwork:
     def source_ids(self) -> tuple[int, ...]:
         return tuple(nd.id for nd in self.nodes if nd.role == "source")
 
-    def uniform_outputs(self, rtol: float = 1e-12) -> bool:
+    def uniform_outputs(self) -> bool:
         """True iff all output resistances agree and all output inductances agree."""
-        r = self.r_out_vector()
-        l = self.l_out_vector()
-        return _spread(r) <= rtol and _spread(l) <= rtol
+        return (spread(self.r_out_vector()) <= UNIFORM_RTOL
+                and spread(self.l_out_vector()) <= UNIFORM_RTOL)
 
     def with_outputs(self, r_out: float | None = None, l_out: float | None = None,
                      omega: float | None = None) -> "PowerNetwork":
@@ -100,7 +94,8 @@ class PowerNetwork:
                             self.length_unit)
 
 
-def _spread(v: np.ndarray) -> float:
+def spread(v: np.ndarray) -> float:
+    """(max - min) / max |v|, or 0 for an all-zero vector."""
     scale = np.max(np.abs(v))
     if scale == 0.0:
         return 0.0
@@ -262,38 +257,12 @@ def save_network(net: PowerNetwork, path: str | Path) -> None:
 # Matrix assembly
 
 @dataclass(frozen=True)
-class IncidenceMatrix:
-    """Node-by-edge incidence matrix with deterministic orientation.
-
-    The tail of every edge is the endpoint with the smaller node id, so a
-    given network always produces the same matrix.
-    """
-
-    matrix: np.ndarray  # n x m of {-1, 0, +1}
-    orientations: tuple[tuple[int, int], ...]  # (tail id, head id) per edge
-    node_ids: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class WeightedLaplacian:
     """L = B diag(gamma) B^T with gamma_k = 1/tau_k (inverse line lengths)."""
 
     matrix: np.ndarray  # n x n symmetric PSD
     weights: np.ndarray  # gamma, length m
     node_ids: tuple[int, ...]
-
-
-def build_incidence(net: PowerNetwork) -> IncidenceMatrix:
-    ids = net.node_ids()
-    index = {nid: i for i, nid in enumerate(ids)}
-    B = np.zeros((net.n, net.m))
-    orient = []
-    for k, e in enumerate(net.edges):
-        tail, head = (e.a, e.b) if e.a < e.b else (e.b, e.a)
-        B[index[tail], k] = 1.0
-        B[index[head], k] = -1.0
-        orient.append((tail, head))
-    return IncidenceMatrix(B, tuple(orient), ids)
 
 
 def build_laplacian(net: PowerNetwork) -> WeightedLaplacian:

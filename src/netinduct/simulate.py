@@ -19,6 +19,9 @@ import numpy as np
 from .measures import AugmentedDynamics, MeasureReport, ModalDecomposition
 
 ENVELOPE_SLACK = 1e-9  # multiplicative round-off allowance at t = 0
+# below this ||I|| the squares summed by np.linalg.norm are subnormal or 0
+_NORM_FLOOR = 1e-150
+_TINY = np.finfo(float).tiny  # smallest normal double; below it no relative precision
 
 
 @dataclass(frozen=True)
@@ -74,6 +77,8 @@ def homogeneous_solution(dyn: AugmentedDynamics, i0: np.ndarray,
     dec = dyn.decomposition
     currents = _propagate(dec, i0, t)
     norms = np.linalg.norm(currents, axis=0)
+    low = norms < _NORM_FLOOR
+    norms[low] = np.hypot.reduce(currents[:, low], axis=0)  # no squares to underflow
     return Trajectory(t, currents, i0, norms, dec.route)
 
 
@@ -97,7 +102,10 @@ def verify_envelopes(traj: Trajectory, report: MeasureReport) -> EnvelopeVerdict
 
     Lower: ||I(t)|| >= mu e^{-t/psi_nir} ||I0||.
     Upper: ||I(t)|| <= mu' e^{-psi_nrr t} ||I0|| with mu' = 1/mu.
-    Violations are returned as negative slack, not raised.
+    Violations are returned as negative slack, not raised.  Where the
+    divisor of a slack (the lower bound, or ||I(t)|| for the upper one) has
+    underflowed below the normal range, the sample carries no relative
+    precision and holds trivially: its slack is +inf.
     """
     n0 = np.linalg.norm(traj.i0)
     if n0 == 0.0:
@@ -106,9 +114,10 @@ def verify_envelopes(traj: Trajectory, report: MeasureReport) -> EnvelopeVerdict
     mu = report.mu if report.mu > 0.0 else 1.0  # zero-flagged mu: no scaling known
     lower = mu * np.exp(-traj.times / report.psi_nir) * n0
     upper = (1.0 / mu) * np.exp(-report.psi_nrr * traj.times) * n0
-    lower_slack = traj.norms * (1.0 + ENVELOPE_SLACK) / lower - 1.0
-    with np.errstate(divide="ignore"):
-        upper_slack = upper * (1.0 + ENVELOPE_SLACK) / traj.norms - 1.0
+    lower_slack = np.divide(traj.norms * (1.0 + ENVELOPE_SLACK), lower,
+                            out=np.full_like(lower, np.inf), where=lower >= _TINY) - 1.0
+    upper_slack = np.divide(upper * (1.0 + ENVELOPE_SLACK), traj.norms,
+                            out=np.full_like(upper, np.inf), where=traj.norms >= _TINY) - 1.0
     return EnvelopeVerdict(bool(np.all(lower_slack >= 0.0)),
                            bool(np.all(upper_slack >= 0.0)),
                            lower_slack, upper_slack)

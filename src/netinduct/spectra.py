@@ -16,6 +16,8 @@ import numpy as np
 from .errors import SpectralMismatchError
 from .network import WeightedLaplacian
 
+_ZERO_RTOL = 1e-8  # smallest eigenvalue of a Laplacian, relative to max(|eigenvalue|, 1)
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -27,7 +29,6 @@ class Spectrum:
 
 class Connectivity(NamedTuple):
     value: float
-    fiedler: np.ndarray
 
 
 def _check_symmetric(A: np.ndarray, rtol: float = 1e-12) -> None:
@@ -51,14 +52,12 @@ def _lap_matrix(L: WeightedLaplacian | np.ndarray) -> np.ndarray:
 
 
 def eig_product(D: np.ndarray, L: WeightedLaplacian | np.ndarray) -> np.ndarray:
-    """Real spectrum of D*L for nonnegative diagonal D, ascending.
+    """Real spectrum of diag(D)*L for a nonnegative vector D, ascending.
 
     Computed as the spectrum of the symmetric matrix D^{1/2} L D^{1/2}.
     """
     Lm = _lap_matrix(L)
     d = np.asarray(D, dtype=float)
-    if d.ndim == 2:
-        d = np.diag(d)
     if np.any(d < 0):
         raise ValueError("diagonal entries must be nonnegative")
 
@@ -67,15 +66,15 @@ def eig_product(D: np.ndarray, L: WeightedLaplacian | np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(sq_d[:, None] * Lm * sq_d[None, :])
 
 
-def algebraic_connectivity(s: Spectrum, zero_rtol: float = 1e-8) -> Connectivity:
-    """Second smallest eigenvalue (with multiplicity) and Fiedler vector.
+def algebraic_connectivity(s: Spectrum) -> Connectivity:
+    """Second smallest eigenvalue (with multiplicity).
 
     Requires the smallest eigenvalue to be numerically zero, as for the
     Laplacian of a connected graph.
     """
     vals = s.eigenvalues
     scale = max(np.max(np.abs(vals)), 1.0)
-    if abs(vals[0]) > zero_rtol * scale:
+    if abs(vals[0]) > _ZERO_RTOL * scale:
         raise SpectralMismatchError(
             f"smallest eigenvalue {vals[0]!r} is not zero; input is not Laplacian-like")
-    return Connectivity(float(vals[1]), s.eigenvectors[:, 1].copy())
+    return Connectivity(float(vals[1]))

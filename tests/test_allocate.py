@@ -93,6 +93,9 @@ def test_problem_validation(fixtures_dir):
     with pytest.raises(ValidationError, match="negative"):
         optimize_allocation(_star_problem(
             fixtures_dir, lower_bounds=np.array([-1e-3, 0.0, 0.0, 0.0])))
+    with pytest.raises(ValidationError, match="lower_bounds"):
+        optimize_allocation(_star_problem(
+            fixtures_dir, lower_bounds=np.array([math.nan, 0.0, 0.0, 0.0])))
     with pytest.raises(ValidationError, match="expected 4"):
         optimize_allocation(_star_problem(
             fixtures_dir, lower_bounds=np.zeros(3)))

@@ -127,6 +127,18 @@ def test_simulate_csv_output(capsys, tmp_path):
     assert len(lines) == 51
 
 
+def _no_constants(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_simulate_past_underflow_keeps_envelopes(capsys):
+    # ||I(t)|| and the bounds fall below the normal doubles long before t = 10 s
+    code, out, _ = run(capsys, "simulate", FIXTURES / "complete4.json", "--tmax", "10")
+    assert code == 0
+    rep = json.loads(out, parse_constant=_no_constants)
+    assert rep["lower_envelope_ok"] and rep["upper_envelope_ok"]
+
+
 @pytest.mark.parametrize("grid", [("--tmax", "-1"), ("--tmax", "0"), ("--points", "0")],
                          ids=["tmax=-1", "tmax=0", "points=0"])
 def test_simulate_bad_grid_is_input_error(capsys, grid):
@@ -169,6 +181,16 @@ def test_optimize_target_theta(capsys):
     rep = json.loads(out)
     assert set(rep["allocation"]) == {"1", "3", "7"}
     assert rep["theta_nir"] == pytest.approx(target, rel=1e-9)
+
+
+@pytest.mark.parametrize("command", [("optimize",), ("landscape", "--resolution", "3")],
+                         ids=["optimize", "landscape"])
+@pytest.mark.parametrize("budget", ["nan", "inf"])
+def test_non_finite_budget_is_input_error(capsys, command, budget):
+    code, out, err = run(capsys, command[0], FIXTURES / "star.json", *command[1:],
+                         "--budget", budget)
+    assert code == 2 and out == ""
+    assert err.startswith("error: budget:")
 
 
 def test_optimize_requires_budget_or_target(capsys):

@@ -119,7 +119,7 @@ def test_complete_graph_angles(fixtures_dir):
     for rec in records:
         assert rec.klass == "physical"
         assert rec.theta_rad == pytest.approx(oracle, rel=1e-12)
-        assert not rec.negative_rl
+        assert rec.impedance.real > 0.0 and rec.impedance.imag > 0.0
     assert oracle == pytest.approx(1.3281019225481796, abs=1e-15)
 
 
@@ -151,9 +151,7 @@ def test_angle_conventions_consistent(fixtures_dir):
     for rec in records:
         if rec.klass == "absent":
             continue
-        # the two sign conventions differ by pi; the principal angle agrees
-        # with both modulo pi
-        assert abs(abs(rec.theta_rad - rec.theta_alt_rad) - math.pi) <= 1e-12
+        # the principal angle agrees with the two-argument one modulo pi
         assert math.sin(rec.theta_rad - rec.theta_principal_rad) == pytest.approx(
             0.0, abs=1e-12)
 

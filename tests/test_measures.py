@@ -28,7 +28,6 @@ def test_assemble_uniform(fixtures_dir):
     net = load_network(fixtures_dir / "complete4.json")
     dyn = assemble_dynamics(net)
     L = build_laplacian(net).matrix
-    assert dyn.mode == "uniform"
     assert np.allclose(dyn.r_matrix, 0.7 * np.eye(4), atol=0)
     assert np.allclose(dyn.l_matrix, 0.002 * L + 0.001 * np.eye(4), atol=0)
 
@@ -38,7 +37,6 @@ def test_assemble_nonuniform():
     net = make_network([(1, 2, 1.0), (2, 3, 2.0)], r=0.5, l=0.002, l_out=d_l)
     dyn = assemble_dynamics(net)
     L = build_laplacian(net).matrix
-    assert dyn.mode == "nonuniform"
     assert np.allclose(dyn.r_matrix, 0.5 * np.eye(3), atol=0)
     assert np.allclose(dyn.l_matrix, 0.002 * np.eye(3) + L @ np.diag(d_l), atol=0)
 
@@ -159,7 +157,7 @@ def test_uniform_fastest_rate_identity():
         rates = _zero_sum_rates(dyn)
         assert 1.0 / rep.psi_nir == pytest.approx(rates.max(), rel=1e-9)
         assert rep.psi_nrr == pytest.approx(rates.min(), rel=1e-9)
-        inv = _zero_sum_rates(AugmentedDynamics(dyn.l_matrix, dyn.r_matrix, dyn.mode))
+        inv = _zero_sum_rates(AugmentedDynamics(dyn.l_matrix, dyn.r_matrix))
         assert rep.psi_nir == pytest.approx(inv.min(), rel=1e-9)
 
 

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netinduct import (ParseError, ValidationError, build_incidence,
-                       build_laplacian, load_network, network_from_dict,
-                       network_from_json, network_to_dict, save_network)
+from netinduct import (ParseError, ValidationError, build_laplacian,
+                       load_network, network_from_dict, network_from_json,
+                       network_to_dict, save_network)
 from conftest import make_network, random_connected_edges
 
 
@@ -80,56 +80,6 @@ def test_bad_role_rejected():
         network_from_dict(d)
 
 
-# --- incidence -------------------------------------------------------------
-
-def test_incidence_single_edge():
-    inc = build_incidence(make_network([(1, 2, 1.0)]))
-    assert inc.matrix.tolist() == [[1.0], [-1.0]]
-    assert inc.orientations == ((1, 2),)
-
-
-def test_incidence_path3():
-    inc = build_incidence(make_network([(1, 2, 1.0), (2, 3, 1.0)]))
-    assert inc.matrix.shape == (3, 2)
-    for col in inc.matrix.T:
-        assert sorted(col) == [-1.0, 0.0, 1.0]
-        assert col.sum() == 0.0
-
-
-def _row_reduce_rank(M):
-    """Plain Gaussian elimination rank oracle."""
-    A = M.astype(float).copy()
-    rank = 0
-    for col in range(A.shape[1]):
-        piv = None
-        for row in range(rank, A.shape[0]):
-            if abs(A[row, col]) > 1e-12:
-                piv = row
-                break
-        if piv is None:
-            continue
-        A[[rank, piv]] = A[[piv, rank]]
-        A[rank] /= A[rank, col]
-        for row in range(A.shape[0]):
-            if row != rank:
-                A[row] -= A[row, col] * A[rank]
-        rank += 1
-    return rank
-
-
-def test_incidence_complete4_rank():
-    edges = [(a, b, 1.0) for a in range(1, 5) for b in range(a + 1, 5)]
-    inc = build_incidence(make_network(edges))
-    assert inc.matrix.shape == (4, 6)
-    assert _row_reduce_rank(inc.matrix) == 3
-
-
-def test_incidence_deterministic_orientation():
-    net = make_network([(3, 1, 1.0), (2, 3, 1.0)])
-    inc = build_incidence(net)
-    assert inc.orientations == ((1, 3), (2, 3))
-
-
 # --- Laplacian -------------------------------------------------------------
 
 def test_laplacian_two_node():
@@ -187,7 +137,10 @@ def test_laplacian_equals_incidence_product(n, seed):
              for a, b, t in random_connected_edges(rng, n, length_range=(1e-3, 1e3))]
     net = make_network(edges)
     lap = build_laplacian(net)
-    B = build_incidence(net).matrix
+    index = {nid: k for k, nid in enumerate(net.node_ids())}
+    B = np.zeros((net.n, net.m))  # incidence matrix, either orientation
+    for k, e in enumerate(net.edges):
+        B[index[e.a], k], B[index[e.b], k] = 1.0, -1.0
     expect = B @ np.diag(lap.weights) @ B.T
     assert np.max(np.abs(lap.matrix - expect)) <= 1e-13 * np.max(np.abs(expect))
 

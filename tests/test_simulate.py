@@ -112,7 +112,7 @@ def test_conservation_and_semigroup(fixtures_dir):
 
 def test_defective_dynamics_uses_expm():
     # a Jordan block is not diagonalizable, forcing the exponential route
-    dyn = AugmentedDynamics(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2), "uniform")
+    dyn = AugmentedDynamics(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
     t = _grid(2.0, 21)
     traj = homogeneous_solution(dyn, np.array([1.0, -1.0]), t)
     # exp(-At) = e^{-t} [[1, -t], [0, 1]]
@@ -131,7 +131,7 @@ def test_fixture_dynamics_use_real_modes(name):
 
 def test_complex_pair_uses_complex_modes():
     # A = I + 2J with J a quarter turn: exp(-At) = e^{-t} * rotation by -2t
-    dyn = AugmentedDynamics(np.array([[1.0, -2.0], [2.0, 1.0]]), np.eye(2), "uniform")
+    dyn = AugmentedDynamics(np.array([[1.0, -2.0], [2.0, 1.0]]), np.eye(2))
     t = _grid(3.0, 31)
     i0 = np.array([1.0, -1.0])
     traj = homogeneous_solution(dyn, i0, t)
@@ -157,7 +157,7 @@ def test_trajectories_share_one_decomposition(fixtures_dir, monkeypatch):
 
 
 def test_singular_inductance_raises_on_every_call():
-    dyn = AugmentedDynamics(np.eye(2), np.zeros((2, 2)), "uniform")
+    dyn = AugmentedDynamics(np.eye(2), np.zeros((2, 2)))
     for _ in range(2):
         with pytest.raises(SingularMatrixError, match="singular"):
             homogeneous_solution(dyn, np.array([1.0, -1.0]), _grid(1.0, 5))

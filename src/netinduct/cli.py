@@ -58,10 +58,11 @@ def cmd_analyze(args) -> int:
 
 
 def _parse_sources(spec: str, net: PowerNetwork) -> list[int]:
+    """Node ids in first-seen order; a repeated id is dropped, as the reduction drops it."""
     if spec == "all":
         return list(net.node_ids())
     try:
-        return [int(s) for s in spec.split(",") if s]
+        return list(dict.fromkeys(int(s) for s in spec.split(",") if s))
     except ValueError as exc:
         raise ValidationError(f"sources: {exc}") from exc
 
@@ -70,9 +71,8 @@ def cmd_kron(args) -> int:
     net = _load(args)
     if args.phasor:
         red = kron.phasor_reduce(net)
-        records = kron.line_angles(red, net)
         buf = io.StringIO()
-        kron.angle_table_csv(records, buf)
+        kron.angle_table_csv(kron.line_angles(red, net), buf)
         _emit(buf.getvalue(), args)
         return 0
     lap = build_laplacian(net)
@@ -190,22 +190,21 @@ def cmd_sweep(args) -> int:
         values = np.geomspace(args.lo_min, args.lo_max, args.steps)
     else:
         values = np.linspace(args.lo_min, args.lo_max, args.steps)
-    pairs = None
     buf = io.StringIO()
     w = csv.writer(buf)
-    for lo in values:
+    for step, lo in enumerate(values):
+        # every copy shares the network's Laplacian record: one eigh per sweep
         swept = net.with_outputs(r_out=0.0, l_out=float(lo))
         rep = measures.psi_nir_uniform(swept)
-        red = kron.phasor_reduce(swept)
-        records = kron.line_angles(red, swept)
-        if pairs is None:
-            pairs = [(rec.i, rec.j) for rec in records]
+        table = kron.line_angles(kron.phasor_reduce(swept), swept)
+        if step == 0:
+            pairs = list(zip(table.i.tolist(), table.j.tolist()))
             w.writerow(["l_out", "theta_nir"]
                        + [f"theta_{i}_{j}" for i, j in pairs]
                        + [f"class_{i}_{j}" for i, j in pairs])
         w.writerow([repr(float(lo)), repr(rep.theta_nir)]
-                   + [repr(rec.theta_principal_rad) for rec in records]
-                   + [rec.klass for rec in records])
+                   + [repr(x) for x in table.theta_principal_rad.tolist()]
+                   + table.klass.tolist())
     _emit(buf.getvalue(), args)
     return 0
 

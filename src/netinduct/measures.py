@@ -32,8 +32,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SingularMatrixError
-from .network import UNIFORM_RTOL, PowerNetwork, build_laplacian
-from .spectra import eig_product, eig_symmetric
+from .network import UNIFORM_RTOL, PowerNetwork, WeightedLaplacian, build_laplacian
+from .spectra import eig_product
 
 _DIAG_COND_LIMIT = 1e8
 
@@ -112,17 +112,17 @@ def psi_nir_uniform(net: PowerNetwork) -> MeasureReport:
     """
     if not net.uniform_outputs():
         raise ValueError("network has non-uniform output impedances")
-    return _uniform_report(net, build_laplacian(net).matrix)
+    return _uniform_report(net, build_laplacian(net))
 
 
-def _uniform_report(net: PowerNetwork, lap: np.ndarray) -> MeasureReport:
+def _uniform_report(net: PowerNetwork, lap: WeightedLaplacian) -> MeasureReport:
     r, l = net.r_per_len, net.l_per_len
     r_o = float(net.r_out_vector()[0])
     l_o = float(net.l_out_vector()[0])
 
-    spec = eig_symmetric(lap)
-    lam2 = float(spec.eigenvalues[1])
-    lam_max = float(spec.eigenvalues[-1])
+    vals = lap.spectrum.eigenvalues  # computed once per topology
+    lam2 = float(vals[1])
+    lam_max = float(vals[-1])
 
     diff = r_o * l - r * l_o  # sign of r_o/l_o - r/l
     scale = max(abs(r_o * l), abs(r * l_o))
@@ -183,7 +183,7 @@ def _nonuniform_report(net: PowerNetwork, lap: np.ndarray) -> MeasureReport:
 
 def measure_report(net: PowerNetwork) -> MeasureReport:
     """Dispatch on output uniformity; the Laplacian is assembled once."""
-    lap = build_laplacian(net).matrix
+    lap = build_laplacian(net)
     if net.uniform_outputs():
         return _uniform_report(net, lap)
-    return _nonuniform_report(net, lap)
+    return _nonuniform_report(net, lap.matrix)

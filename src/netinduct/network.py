@@ -12,12 +12,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
+
+if TYPE_CHECKING:
+    from .spectra import Spectrum
 
 ROLES = ("source", "load")
 UNIFORM_RTOL = 1e-12  # relative spread below which per-node outputs count as uniform
@@ -43,7 +47,8 @@ class PowerNetwork:
     """Validated immutable network.
 
     Nodes are kept sorted by id; matrix row/column ``i`` always refers to
-    the node with the ``i``-th smallest id.
+    the node with the ``i``-th smallest id.  The Laplacian is assembled on
+    first use and kept (see ``build_laplacian``).
     """
 
     nodes: tuple[NodeSpec, ...]
@@ -81,17 +86,27 @@ class PowerNetwork:
         return (spread(self.r_out_vector()) <= UNIFORM_RTOL
                 and spread(self.l_out_vector()) <= UNIFORM_RTOL)
 
+    @cached_property
+    def _laplacian(self) -> "WeightedLaplacian":
+        return _assemble_laplacian(self)
+
     def with_outputs(self, r_out: float | None = None, l_out: float | None = None,
                      omega: float | None = None) -> "PowerNetwork":
-        """Copy with uniform output overrides and/or a new frequency."""
+        """Copy with uniform output overrides and/or a new frequency.
+
+        Outputs and frequency do not enter the Laplacian, so the copy shares
+        this network's Laplacian record, eigendecomposition included.
+        """
         nodes = tuple(
             NodeSpec(nd.id, nd.role,
                      nd.r_out if r_out is None else float(r_out),
                      nd.l_out if l_out is None else float(l_out))
             for nd in self.nodes)
-        return PowerNetwork(nodes, self.edges, self.r_per_len, self.l_per_len,
+        copy = PowerNetwork(nodes, self.edges, self.r_per_len, self.l_per_len,
                             self.omega if omega is None else float(omega),
                             self.length_unit)
+        copy.__dict__["_laplacian"] = self._laplacian  # where cached_property keeps it
+        return copy
 
 
 def spread(v: np.ndarray) -> float:
@@ -258,14 +273,38 @@ def save_network(net: PowerNetwork, path: str | Path) -> None:
 
 @dataclass(frozen=True)
 class WeightedLaplacian:
-    """L = B diag(gamma) B^T with gamma_k = 1/tau_k (inverse line lengths)."""
+    """L = B diag(gamma) B^T with gamma_k = 1/tau_k (inverse line lengths).
+
+    Treated as immutable: the eigendecomposition is computed on first use
+    and kept, with read-only arrays.  The records ``build_laplacian``
+    returns are shared by every consumer of a topology, so their own arrays
+    are read-only as well.
+    """
 
     matrix: np.ndarray  # n x n symmetric PSD
     weights: np.ndarray  # gamma, length m
     node_ids: tuple[int, ...]
 
+    @cached_property
+    def spectrum(self) -> "Spectrum":
+        """Ascending eigenvalues and orthonormal eigenvectors of ``matrix``."""
+        from .spectra import eig_symmetric  # spectra imports this module
+
+        spec = eig_symmetric(self.matrix)
+        spec.eigenvalues.flags.writeable = False
+        spec.eigenvectors.flags.writeable = False
+        return spec
+
 
 def build_laplacian(net: PowerNetwork) -> WeightedLaplacian:
+    """The network's Laplacian record, assembled once per topology.
+
+    Copies made by ``PowerNetwork.with_outputs`` share it.
+    """
+    return net._laplacian
+
+
+def _assemble_laplacian(net: PowerNetwork) -> WeightedLaplacian:
     """Scatter-add of each edge's weight into L; equals B diag(gamma) B^T."""
     ids = net.node_ids()
     index = {nid: i for i, nid in enumerate(ids)}
@@ -277,4 +316,6 @@ def build_laplacian(net: PowerNetwork) -> WeightedLaplacian:
     np.add.at(L, (b, b), gamma)
     np.add.at(L, (a, b), -gamma)
     np.add.at(L, (b, a), -gamma)
+    L.flags.writeable = False
+    gamma.flags.writeable = False
     return WeightedLaplacian(L, gamma, ids)

@@ -1,19 +1,45 @@
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from netinduct import EdgeSpec, NodeSpec, PowerNetwork
+from netinduct import EdgeSpec, NodeSpec, PowerNetwork, network
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 OMEGA_50 = 2 * math.pi * 50
 
 
+LINALG_CALLS = ("eigh", "eigvalsh", "eig", "svd", "cond", "solve", "cholesky", "inv")
+
+
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+@pytest.fixture
+def count_linalg(monkeypatch) -> Counter:
+    """Counts calls of the ``numpy.linalg`` entry points, and Laplacian assemblies.
+
+    Only calls made through ``np.linalg.<name>`` are seen: the ``svd`` inside
+    ``cond`` counts as a ``cond``.  Assemblies count under ``"laplacian"``.
+    """
+    counts = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in LINALG_CALLS:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(network, "_assemble_laplacian",
+                        counted("laplacian", network._assemble_laplacian))
+    return counts
 
 
 def make_network(edges, r=1.0, l=0.01, omega=OMEGA_50, r_out=0.0, l_out=0.0,

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from golden.regenerate import COMMANDS, CSV
 from netinduct.cli import main
-from conftest import FIXTURES
+from conftest import FIXTURES, LINALG_CALLS
 
 
 def run(capsys, *argv):
@@ -89,6 +90,29 @@ def test_kron_phasor_table(capsys):
     assert classes[("1", "3")] == "virtual"
 
 
+def test_kron_phasor_rejects_output_resistance(capsys):
+    # the phasor model has no output resistance: --ro used to be ignored
+    code, out, err = run(capsys, "kron", FIXTURES / "path4.json",
+                         "--phasor", "--lo", "1e-3", "--ro", "0.5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: r_out:")
+
+
+@pytest.mark.parametrize("command", [
+    ("optimize", "--budget", "5e-3"),
+    ("landscape", "--budget", "5e-3", "--resolution", "2"),
+    ("kron",),
+], ids=["optimize", "landscape", "kron"])
+def test_repeated_sources_are_dropped(capsys, command):
+    net = FIXTURES / "ieee13_50hz.json"
+    code, want, _ = run(capsys, command[0], net, *command[1:], "--sources", "1,3,7")
+    assert code == 0
+    code, got, _ = run(capsys, command[0], net, *command[1:], "--sources", "1,1,3,7,3")
+    assert code == 0
+    assert got == want
+
+
 def test_simulate_worst_case(capsys):
     code, out, _ = run(capsys, "simulate", FIXTURES / "complete4.json",
                        "--worst-case")
@@ -105,15 +129,36 @@ def test_simulate_reports_route(capsys, name):
     assert json.loads(out)["route"] == "modes"
 
 
-def test_simulate_worst_case_adds_no_eigendecomposition(capsys, monkeypatch):
-    calls = []
-    eig = np.linalg.eig
-    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a) or eig(a))
-    for extra in ((), ("--worst-case",)):
-        calls.clear()
-        code, _, _ = run(capsys, "simulate", FIXTURES / "ieee13_50hz.json", *extra)
-        assert code == 0
-        assert len(calls) == 1
+# numpy.linalg calls and Laplacian assemblies per golden command on complete4;
+# a change that moves a count says why.  One Laplacian record per network
+# serves every command: its eigh is shared by the measures, the phasor
+# guard and every step of a sweep, and simulate --worst-case reuses the
+# trajectory's eig.
+LINALG_COUNTS = {
+    "analyze": {"laplacian": 1, "eigh": 1},
+    "analyze-lo-ro": {"laplacian": 1, "eigh": 1},
+    "analyze-ro": {"laplacian": 1, "eigh": 1},
+    "kron": {"laplacian": 1, "eigh": 1},
+    "kron-phasor": {"laplacian": 1, "eigh": 1, "solve": 1},
+    "simulate": {"laplacian": 1, "eigh": 1, "eig": 1, "cond": 2, "solve": 2},
+    "simulate-worst-case": {"laplacian": 1, "eigh": 1, "eig": 1, "cond": 2, "solve": 2},
+    "optimize-budget": {"laplacian": 1, "eigh": 2, "eigvalsh": 2},
+    "optimize-target-theta": {"laplacian": 1, "eigh": 2, "eigvalsh": 2},
+    "landscape": {"laplacian": 1, "eigh": 1, "eigvalsh": 35},
+    "sweep": {"laplacian": 1, "eigh": 1, "solve": 5},
+}
+
+
+@pytest.mark.filterwarnings("ignore:all nodes are sources")
+@pytest.mark.parametrize("label", sorted(COMMANDS))
+def test_linalg_calls_per_command(capsys, tmp_path, count_linalg, label):
+    fixture = FIXTURES / "complete4.json"
+    argv = [str(tmp_path / "out.csv") if a == CSV else a
+            for a in COMMANDS[label](json.loads(fixture.read_text()))]
+    code, _, _ = run(capsys, argv[0], fixture, *argv[1:])
+    assert code == 0
+    want = dict.fromkeys(LINALG_CALLS + ("laplacian",), 0) | LINALG_COUNTS[label]
+    assert {name: count_linalg[name] for name in want} == want
 
 
 def test_simulate_csv_output(capsys, tmp_path):

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from netinduct import (SingularMatrixError, ValidationError, WeightedLaplacian,
-                       algebraic_connectivity, angle_table_csv, build_laplacian,
-                       eig_symmetric, kron_reduce_real, line_angles, load_network,
-                       phasor_reduce)
+from netinduct import (AngleTable, BranchRecord, SingularMatrixError, ValidationError,
+                       WeightedLaplacian, algebraic_connectivity, angle_table_csv,
+                       build_laplacian, eig_symmetric, kron_reduce_real, line_angles,
+                       load_network, phasor_reduce)
+from netinduct.kron import EDGE_EPS_SCALE
 from conftest import make_network, random_connected_edges
 
 
@@ -162,6 +164,124 @@ def test_reduced_admittance_row_sums(fixtures_dir):
         red = phasor_reduce(net, l_out=2e-3)
         scale = np.max(np.abs(red.matrix))
         assert np.max(np.abs(red.matrix.sum(axis=1))) <= 1e-9 * scale
+
+
+def test_phasor_rejects_output_resistance(fixtures_dir):
+    # the phasor model carries inductive outputs only; a nonzero r_out would
+    # otherwise be ignored without a word
+    net = load_network(fixtures_dir / "path4.json").with_outputs(r_out=0.5, l_out=1e-3)
+    with pytest.raises(ValidationError, match="r_out"):
+        phasor_reduce(net)
+    with pytest.raises(ValidationError, match="r_out"):
+        phasor_reduce(net, l_out=1e-3)
+    one = make_network([(1, 2, 1.0), (2, 3, 1.0)], r_out=np.array([0.0, 0.1, 0.0]),
+                       l_out=1e-3)
+    with pytest.raises(ValidationError, match="r_out"):
+        phasor_reduce(one)
+
+
+def _cond_guard_network(length: float):
+    return make_network([(1, 2, length), (2, 3, length), (3, 4, 2 * length), (2, 4, length)])
+
+
+@pytest.mark.parametrize("length", [1e-6, 1e-3, 1.0])
+def test_singularity_guard_matches_condition_number(length):
+    # M = I + c Lap is normal, so max|1 + c lam| / min|1 + c lam| is cond(M):
+    # the guard raises exactly where np.linalg.cond(M) > 1e14 did (on 1e-6
+    # lines from l_out ~ 1e6 on)
+    tripped = kept = 0
+    for l_out in np.geomspace(1e-6, 1e12, 37):
+        net = _cond_guard_network(length).with_outputs(l_out=float(l_out))
+        y_o = 1.0 / (1j * net.omega * l_out)
+        y_l = 1.0 / (net.r_per_len + 1j * net.omega * net.l_per_len)
+        M = np.eye(net.n) + (y_l / y_o) * build_laplacian(net).matrix
+        if np.linalg.cond(M) > 1e14:
+            tripped += 1
+            with pytest.raises(SingularMatrixError, match="singular"):
+                phasor_reduce(net)
+        else:
+            kept += 1
+            phasor_reduce(net)
+    assert kept > 0 and tripped > 0
+
+
+def _loop_angles(red, original):
+    """The per-pair loop that line_angles replaced, kept as its oracle."""
+    ids = red.node_ids
+    original_edges = {frozenset((e.a, e.b)) for e in original.edges}
+    eps = EDGE_EPS_SCALE * np.max(np.abs(red.matrix))
+    records = []
+    for a in range(len(ids)):
+        for b in range(a + 1, len(ids)):
+            i, j = ids[a], ids[b]
+            adm = -red.matrix[a, b]
+            if abs(adm) < eps:
+                records.append(BranchRecord(i, j, complex(adm), complex("nan"),
+                                            math.nan, math.nan, "absent"))
+                continue
+            z = 1.0 / adm
+            principal = math.atan(z.imag / z.real) if z.real != 0.0 else math.copysign(
+                math.pi / 2, z.imag)
+            klass = "physical" if frozenset((i, j)) in original_edges else "virtual"
+            records.append(BranchRecord(i, j, complex(adm), complex(z),
+                                        math.atan2(z.imag, z.real), principal, klass))
+    return records
+
+
+def _assert_table_matches_loop(net) -> AngleTable:
+    red = phasor_reduce(net)
+    table = line_angles(red, net)
+    want = _loop_angles(red, net)
+    assert len(table) == len(want)
+    assert table.i.tolist() == [rec.i for rec in want]
+    assert table.j.tolist() == [rec.j for rec in want]
+    assert table.klass.tolist() == [rec.klass for rec in want]
+    assert np.array_equal(table.admittance, [rec.admittance for rec in want])
+    for column in ("impedance", "theta_rad", "theta_principal_rad"):
+        got = getattr(table, column)
+        ref = np.array([getattr(rec, column) for rec in want])
+        assert np.array_equal(np.isnan(got), np.isnan(ref)), column
+        finite = ~np.isnan(ref)
+        scale = np.abs(ref[finite]) if column == "impedance" else 1.0
+        assert np.all(np.abs(got[finite] - ref[finite]) <= 1e-12 * scale), column
+    for k, (row, rec) in enumerate(zip(table, want)):
+        assert repr(row) == repr(table[k])  # NaN fields compare unequal
+        assert (row.i, row.j, row.klass) == (rec.i, rec.j, rec.klass)
+        assert type(row.i) is int and type(row.klass) is str
+        assert row.admittance == rec.admittance
+        for got, ref in ((row.theta_rad, rec.theta_rad),
+                         (row.theta_principal_rad, rec.theta_principal_rad)):
+            assert (math.isnan(got) and math.isnan(ref)) or abs(got - ref) <= 1e-12
+    return table
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 14), seed=st.integers(0, 2**32 - 1),
+       log_l_out=st.floats(-6.0, -1.0))
+def test_angle_table_matches_per_pair_loop(n, seed, log_l_out):
+    rng = np.random.default_rng(seed)
+    edges = random_connected_edges(rng, n, extra_edge_prob=float(rng.uniform(0.0, 0.5)),
+                                   length_range=(0.1, 10.0))
+    net = make_network(edges, r=float(rng.uniform(0.1, 2.0)), l=float(rng.uniform(1e-3, 2e-2)),
+                       l_out=10.0 ** log_l_out)
+    _assert_table_matches_loop(net)
+
+
+def test_angle_table_absent_pairs_match_loop():
+    # a long path at a tiny output inductance: far pairs fall below the threshold
+    net = make_network([(k, k + 1, 1.0) for k in range(1, 10)], l_out=1e-6)
+    table = _assert_table_matches_loop(net)
+    assert {"physical", "virtual", "absent"} <= set(table.klass.tolist())
+
+
+def test_angle_table_is_a_sequence_of_rows(fixtures_dir):
+    net = load_network(fixtures_dir / "path4.json")
+    table = line_angles(phasor_reduce(net, l_out=1e-3), net)
+    assert len(table) == 6 and len(list(table)) == 6
+    assert table[-1] == table[5] == list(table)[-1]  # no absent pair here
+    assert (table[0].i, table[0].j) == (1, 2)
+    with pytest.raises(IndexError):
+        table[6]
 
 
 def test_phasor_requires_uniform_positive_inductance(fixtures_dir):

@@ -87,6 +87,22 @@ def test_laplacian_two_node():
     assert np.allclose(lap.matrix, [[0.5, -0.5], [-0.5, 0.5]], atol=0)
 
 
+def test_laplacian_record_is_shared_and_read_only(fixtures_dir):
+    net = load_network(fixtures_dir / "ieee13_50hz.json")
+    lap = build_laplacian(net)
+    assert build_laplacian(net) is lap
+    swept = net.with_outputs(r_out=0.3, l_out=2e-3, omega=100.0)
+    assert build_laplacian(swept) is lap
+    assert build_laplacian(swept.with_outputs(l_out=1e-3)) is lap
+    assert lap.spectrum is build_laplacian(swept).spectrum
+    for array in (lap.matrix, lap.weights, lap.spectrum.eigenvalues,
+                  lap.spectrum.eigenvectors):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    # a network built afresh assembles its own record
+    assert build_laplacian(load_network(fixtures_dir / "ieee13_50hz.json")) is not lap
+
+
 def test_laplacian_complete4_unit():
     edges = [(a, b, 1.0) for a in range(1, 5) for b in range(a + 1, 5)]
     L = build_laplacian(make_network(edges)).matrix

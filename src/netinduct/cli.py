@@ -180,6 +180,12 @@ def cmd_landscape(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    # every step sets r_out = 0 and its own l_out, so an override would be ignored
+    if args.lo is not None:
+        raise ValidationError(f"--lo: sweep sets l_out at each step, got {args.lo!r}")
+    if args.ro is not None and args.ro != 0.0:
+        raise ValidationError(f"--ro: sweep models inductive outputs only (r_out = 0), "
+                              f"got {args.ro!r}")
     net = _load(args)
     for flag, value in (("--lo-min", args.lo_min), ("--lo-max", args.lo_max)):
         if not 0.0 < value < math.inf:
@@ -193,7 +199,8 @@ def cmd_sweep(args) -> int:
     buf = io.StringIO()
     w = csv.writer(buf)
     for step, lo in enumerate(values):
-        # every copy shares the network's Laplacian record: one eigh per sweep
+        # every copy shares the network's topology and Laplacian record:
+        # one validation and one eigh per sweep
         swept = net.with_outputs(r_out=0.0, l_out=float(lo))
         rep = measures.psi_nir_uniform(swept)
         table = kron.line_angles(kron.phasor_reduce(swept), swept)

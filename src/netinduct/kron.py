@@ -28,10 +28,11 @@ from typing import IO, Sequence
 import numpy as np
 
 from .errors import SingularMatrixError, ValidationError
-from .network import UNIFORM_RTOL, PowerNetwork, WeightedLaplacian, build_laplacian, spread
+from .network import PowerNetwork, WeightedLaplacian, build_laplacian
 
 EDGE_EPS_SCALE = 1e-9  # relative threshold for absent-edge classification
 ANGLE_CSV_HEADER = ("i", "j", "class", "R_branch", "X_branch", "theta_rad")
+_CLASSES = np.array(["physical", "virtual", "absent"])  # indexed by class code
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,9 @@ class AngleTable(Sequence[BranchRecord]):
     """Branch angles of every pair i < j in node order, one array per field.
 
     As a sequence it holds ``BranchRecord`` rows, each built on access.
-    Absent pairs carry NaN impedance and angles.
+    Absent pairs carry NaN impedance and angles.  ``i`` and ``j`` are the
+    Laplacian record's read-only id columns, shared by every table of a
+    topology.
     """
 
     i: np.ndarray  # node ids
@@ -168,17 +171,17 @@ def phasor_reduce(net: PowerNetwork, l_out: float | None = None) -> ReducedAdmit
     values |1 + c lam|, so it counts as singular when their ratio exceeds
     1e14, as cond(M) would, read off the network's cached spectrum.
     """
-    if np.any(net.r_out_vector() != 0.0):
+    if net.r_out_vector().any():
         raise ValidationError(
             "r_out: phasor reduction models inductive outputs only; "
             "output resistance must be 0")
     if l_out is None:
-        lv = net.l_out_vector()
-        if np.max(lv) == 0.0 or spread(lv) > UNIFORM_RTOL:
+        # r_out is all zero here, so the outputs are uniform iff l_out is
+        l_out = float(net.l_out_vector()[0])
+        if not net.uniform_outputs() or l_out == 0.0:
             raise ValidationError(
                 "phasor reduction needs a uniform output inductance > 0 "
                 "(set it on the nodes or pass l_out)")
-        l_out = float(lv[0])
     if l_out <= 0.0:
         raise ValidationError(f"l_out: must be > 0, got {l_out}")
 
@@ -191,10 +194,10 @@ def phasor_reduce(net: PowerNetwork, l_out: float | None = None) -> ReducedAdmit
     if np.max(sv) > 1e14 * np.min(sv):
         raise SingularMatrixError(
             f"(I + (y_l/y_o) L) is singular at omega = {omega!r}")
-    n = net.n
-    M = np.eye(n, dtype=complex) + (y_l / y_o) * lap.matrix
-    Minv = np.linalg.solve(M, np.eye(n, dtype=complex))  # LU with partial pivoting
-    Y = y_o * (np.eye(n, dtype=complex) - Minv)
+    eye = np.eye(net.n, dtype=complex)
+    M = eye + (y_l / y_o) * lap.matrix
+    Minv = np.linalg.solve(M, eye)  # LU with partial pivoting
+    Y = y_o * (eye - Minv)
     return ReducedAdmittance(Y, lap.node_ids, y_l)
 
 
@@ -212,18 +215,16 @@ def line_angles(red: ReducedAdmittance, original: PowerNetwork) -> AngleTable:
     lap = build_laplacian(original)
     if red.node_ids != lap.node_ids:
         raise ValueError("line_angles: reduction and network have different nodes")
-    a, b = np.triu_indices(len(red.node_ids), 1)
-    adm = -red.matrix[a, b]
+    pairs = lap.pairs
+    adm = -red.matrix[pairs.a, pairs.b]
     absent = np.abs(adm) < EDGE_EPS_SCALE * np.max(np.abs(red.matrix))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = 1.0 / adm
         z[absent] = np.nan
         principal = np.where(z.real != 0.0, np.arctan(z.imag / z.real),
                              np.copysign(np.pi / 2, z.imag))
-    klass = np.where(absent, "absent",
-                     np.where(lap.matrix[a, b] != 0.0, "physical", "virtual"))
-    ids = np.array(red.node_ids)
-    return AngleTable(ids[a], ids[b], adm, z, np.arctan2(z.imag, z.real), principal, klass)
+    klass = _CLASSES[np.where(absent, 2, ~pairs.edge)]
+    return AngleTable(pairs.i, pairs.j, adm, z, np.arctan2(z.imag, z.real), principal, klass)
 
 
 def angle_table_csv(table: AngleTable, dest: str | Path | IO[str]) -> None:

@@ -5,16 +5,23 @@ homogeneous distribution lines.  Line resistance and inductance are given
 per length unit; each edge carries a physical length.  Every node may have
 a series output impedance (resistance + inductance) between its source and
 its grid connection point.
+
+A ``PowerNetwork`` is two records, each validated once, when it is built:
+a ``Topology`` (node ids and roles, edges and line constants), which owns
+the Laplacian record, and an ``Outputs`` set (per-node r_out and l_out as
+read-only arrays, and the frequency).  Outputs and frequency do not enter
+the Laplacian, so ``with_outputs`` builds and validates a new output set
+only and shares the topology, eigendecomposition included.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np
 
@@ -43,114 +50,183 @@ class EdgeSpec:
 
 
 @dataclass(frozen=True)
-class PowerNetwork:
-    """Validated immutable network.
+class Topology:
+    """Validated graph and line constants: everything the Laplacian depends on.
 
-    Nodes are kept sorted by id; matrix row/column ``i`` always refers to
-    the node with the ``i``-th smallest id.  The Laplacian is assembled on
-    first use and kept (see ``build_laplacian``).
+    Node ``k`` has id ``ids[k]`` and role ``roles[k]``.  Ids are sorted, so
+    matrix row/column ``k`` always refers to the node with the ``k``-th
+    smallest id.  The Laplacian record is assembled on first use and kept.
     """
 
-    nodes: tuple[NodeSpec, ...]
+    ids: tuple[int, ...]
+    roles: tuple[str, ...]
     edges: tuple[EdgeSpec, ...]
     r_per_len: float  # ohm / length unit
     l_per_len: float  # henry / length unit
-    omega: float  # rad/s
     length_unit: str
 
     def __post_init__(self):
-        _validate(self)
+        _validate_topology(self)
+
+    @cached_property
+    def laplacian(self) -> "WeightedLaplacian":
+        return _assemble_laplacian(self)
+
+
+@dataclass(frozen=True, eq=False)
+class Outputs:
+    """Per-node output impedances, in node order, and the frequency.
+
+    ``r_out`` and ``l_out`` are read-only float arrays copied from what the
+    constructor is given, so an output set never aliases writable memory.
+    ``uniform`` is true iff all output resistances agree and all output
+    inductances agree, each to ``UNIFORM_RTOL`` relative to its largest.
+    """
+
+    r_out: np.ndarray  # ohm
+    l_out: np.ndarray  # henry
+    omega: float  # rad/s
+    uniform: bool = field(init=False, repr=False)
+
+    def __post_init__(self):
+        try:
+            values = np.array((self.r_out, self.l_out), dtype=float)
+        except ValueError as exc:  # ragged or non-numeric
+            raise ValidationError(f"outputs: {exc}") from exc
+        values.flags.writeable = False
+        object.__setattr__(self, "r_out", values[0])
+        object.__setattr__(self, "l_out", values[1])
+        (r_min, l_min), (r_max, l_max) = _validate_outputs(values, self.omega)
+        object.__setattr__(self, "uniform", _spread(r_min, r_max) <= UNIFORM_RTOL
+                           and _spread(l_min, l_max) <= UNIFORM_RTOL)
+
+    def __eq__(self, other):
+        if not isinstance(other, Outputs):
+            return NotImplemented
+        return (self.omega == other.omega and np.array_equal(self.r_out, other.r_out)
+                and np.array_equal(self.l_out, other.l_out))
+
+    def __hash__(self):
+        return hash((self.omega, tuple(self.r_out.tolist()), tuple(self.l_out.tolist())))
+
+
+@dataclass(frozen=True)
+class PowerNetwork:
+    """Validated immutable network: a topology and an output set.
+
+    Each part is validated once, when it is built.  The node rows
+    (``nodes``, built on access), the edges, line constants, frequency and
+    output vectors read through to the two parts.
+    """
+
+    topology: Topology
+    outputs: Outputs
+
+    def __post_init__(self):
+        if self.outputs.r_out.size != len(self.topology.ids):
+            raise ValidationError(f"outputs: {self.outputs.r_out.size} values per field "
+                                  f"for {len(self.topology.ids)} nodes")
+
+    @property
+    def nodes(self) -> tuple[NodeSpec, ...]:
+        top, out = self.topology, self.outputs
+        return tuple(map(NodeSpec, top.ids, top.roles, out.r_out.tolist(), out.l_out.tolist()))
+
+    @property
+    def edges(self) -> tuple[EdgeSpec, ...]:
+        return self.topology.edges
+
+    @property
+    def r_per_len(self) -> float:
+        return self.topology.r_per_len
+
+    @property
+    def l_per_len(self) -> float:
+        return self.topology.l_per_len
+
+    @property
+    def length_unit(self) -> str:
+        return self.topology.length_unit
+
+    @property
+    def omega(self) -> float:
+        return self.outputs.omega
 
     @property
     def n(self) -> int:
-        return len(self.nodes)
+        return len(self.topology.ids)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.topology.edges)
 
     def node_ids(self) -> tuple[int, ...]:
-        return tuple(nd.id for nd in self.nodes)
+        return self.topology.ids
 
     def r_out_vector(self) -> np.ndarray:
-        return np.array([nd.r_out for nd in self.nodes])
+        """Output resistances in node order (read-only)."""
+        return self.outputs.r_out
 
     def l_out_vector(self) -> np.ndarray:
-        return np.array([nd.l_out for nd in self.nodes])
+        """Output inductances in node order (read-only)."""
+        return self.outputs.l_out
 
     def source_ids(self) -> tuple[int, ...]:
-        return tuple(nd.id for nd in self.nodes if nd.role == "source")
+        top = self.topology
+        return tuple(i for i, role in zip(top.ids, top.roles) if role == "source")
 
     def uniform_outputs(self) -> bool:
         """True iff all output resistances agree and all output inductances agree."""
-        return (spread(self.r_out_vector()) <= UNIFORM_RTOL
-                and spread(self.l_out_vector()) <= UNIFORM_RTOL)
-
-    @cached_property
-    def _laplacian(self) -> "WeightedLaplacian":
-        return _assemble_laplacian(self)
+        return self.outputs.uniform
 
     def with_outputs(self, r_out: float | None = None, l_out: float | None = None,
                      omega: float | None = None) -> "PowerNetwork":
         """Copy with uniform output overrides and/or a new frequency.
 
-        Outputs and frequency do not enter the Laplacian, so the copy shares
-        this network's Laplacian record, eigendecomposition included.
+        Only the output set is built and validated anew.  The copy shares
+        this network's topology, and with it the Laplacian record and its
+        eigendecomposition.
         """
-        nodes = tuple(
-            NodeSpec(nd.id, nd.role,
-                     nd.r_out if r_out is None else float(r_out),
-                     nd.l_out if l_out is None else float(l_out))
-            for nd in self.nodes)
-        copy = PowerNetwork(nodes, self.edges, self.r_per_len, self.l_per_len,
-                            self.omega if omega is None else float(omega),
-                            self.length_unit)
-        copy.__dict__["_laplacian"] = self._laplacian  # where cached_property keeps it
-        return copy
+        out = self.outputs
+        return PowerNetwork(self.topology, Outputs(
+            out.r_out if r_out is None else np.full(self.n, float(r_out)),
+            out.l_out if l_out is None else np.full(self.n, float(l_out)),
+            out.omega if omega is None else float(omega)))
 
 
-def spread(v: np.ndarray) -> float:
-    """(max - min) / max |v|, or 0 for an all-zero vector."""
-    scale = np.max(np.abs(v))
-    if scale == 0.0:
-        return 0.0
-    return (np.max(v) - np.min(v)) / scale
+def _spread(low: float, high: float) -> float:
+    """(max - min) / max of values >= 0, or 0 when all are 0."""
+    return 0.0 if high == 0.0 else (high - low) / high
 
 
-def _validate(net: PowerNetwork) -> None:
-    # NaN and Infinity (JSON accepts both, and so do the CLI overrides) pass
-    # every sign check, so each number is first checked to be finite
-    ids = [nd.id for nd in net.nodes]
+# NaN and Infinity (JSON accepts both, and so do the CLI overrides) pass
+# every sign check, so each number is first checked to be finite
+
+
+def _validate_topology(top: Topology) -> None:
+    ids = top.ids
     if not ids:
         raise ValidationError("nodes: empty node list")
+    if len(top.roles) != len(ids):
+        raise ValidationError(f"nodes: {len(ids)} ids but {len(top.roles)} roles")
     if len(set(ids)) != len(ids):
         raise ValidationError("nodes: duplicate node ids")
     if list(ids) != sorted(ids):
         raise ValidationError("nodes must be sorted by id (use load_network/network_from_dict)")
-    for i, nd in enumerate(net.nodes):
-        if nd.role not in ROLES:
-            raise ValidationError(f"nodes[{i}].role: {nd.role!r} not in {ROLES}")
-        for name, value in (("r_out", nd.r_out), ("l_out", nd.l_out)):
-            if not math.isfinite(value):
-                raise ValidationError(f"nodes[{i}].{name}: must be a finite number, got {value!r}")
-        if nd.r_out < 0:
-            raise ValidationError(f"nodes[{i}].r_out: negative output resistance {nd.r_out}")
-        if nd.l_out < 0:
-            raise ValidationError(f"nodes[{i}].l_out: negative output inductance {nd.l_out}")
-    for where, value in (("line.r_per_len", net.r_per_len), ("line.l_per_len", net.l_per_len),
-                         ("frequency_rad_s", net.omega)):
+    for i, role in enumerate(top.roles):
+        if role not in ROLES:
+            raise ValidationError(f"nodes[{i}].role: {role!r} not in {ROLES}")
+    for where, value in (("line.r_per_len", top.r_per_len), ("line.l_per_len", top.l_per_len)):
         if not math.isfinite(value):
             raise ValidationError(f"{where}: must be a finite number, got {value!r}")
-    if net.r_per_len <= 0:
-        raise ValidationError(f"line.r_per_len: must be > 0, got {net.r_per_len}")
-    if net.l_per_len <= 0:
-        raise ValidationError(f"line.l_per_len: must be > 0, got {net.l_per_len}")
-    if net.omega <= 0:
-        raise ValidationError(f"frequency_rad_s: must be > 0, got {net.omega}")
+    if top.r_per_len <= 0:
+        raise ValidationError(f"line.r_per_len: must be > 0, got {top.r_per_len}")
+    if top.l_per_len <= 0:
+        raise ValidationError(f"line.l_per_len: must be > 0, got {top.l_per_len}")
 
     idset = set(ids)
     seen: set[frozenset[int]] = set()
-    for k, e in enumerate(net.edges):
+    for k, e in enumerate(top.edges):
         if e.a not in idset:
             raise ValidationError(f"edges[{k}].a: unknown node id {e.a}")
         if e.b not in idset:
@@ -167,7 +243,7 @@ def _validate(net: PowerNetwork) -> None:
         if e.length <= 0:
             raise ValidationError(f"edges[{k}].length: must be > 0, got {e.length}")
 
-    stray = _disconnected_node(ids, net.edges)
+    stray = _disconnected_node(ids, top.edges)
     if stray is not None:
         raise ValidationError(f"nodes: graph is disconnected (node {stray} unreachable from node {ids[0]})")
 
@@ -193,6 +269,31 @@ def _disconnected_node(ids, edges) -> int | None:
     return None
 
 
+def _validate_outputs(values: np.ndarray, omega: float) -> tuple[list[float], list[float]]:
+    """Check the rows (r_out, l_out) and omega; returns each row's min and max."""
+    if values.ndim != 2 or values.shape[1] == 0:
+        raise ValidationError(f"outputs: r_out and l_out must be non-empty, 1-D and of one "
+                              f"length, got shape {values.shape}")
+    # min and max propagate NaN, which fails every comparison; only a failure
+    # walks the nodes to name the first fault
+    low = np.minimum.reduce(values, axis=1).tolist()
+    high = np.maximum.reduce(values, axis=1).tolist()
+    if not (0.0 <= low[0] and 0.0 <= low[1] and high[0] < math.inf and high[1] < math.inf):
+        for i, (r_i, l_i) in enumerate(zip(*values.tolist())):
+            for name, value in (("r_out", r_i), ("l_out", l_i)):
+                if not math.isfinite(value):
+                    raise ValidationError(f"nodes[{i}].{name}: must be a finite number, got {value!r}")
+            if r_i < 0:
+                raise ValidationError(f"nodes[{i}].r_out: negative output resistance {r_i}")
+            if l_i < 0:
+                raise ValidationError(f"nodes[{i}].l_out: negative output inductance {l_i}")
+    if not math.isfinite(omega):
+        raise ValidationError(f"frequency_rad_s: must be a finite number, got {omega!r}")
+    if omega <= 0:
+        raise ValidationError(f"frequency_rad_s: must be > 0, got {omega}")
+    return low, high
+
+
 # ---------------------------------------------------------------------------
 # JSON document handling
 
@@ -207,26 +308,25 @@ def network_from_dict(doc: dict[str, Any]) -> PowerNetwork:
     """Build a validated PowerNetwork from a parsed JSON document."""
     try:
         line = doc["line"]
-        nodes = tuple(sorted(
-            (NodeSpec(_node_id(nd["id"], f"nodes[{i}].id"), str(nd["role"]),
-                      float(nd["r_out"]), float(nd["l_out"]))
+        rows = sorted(  # (id, role, r_out, l_out) per node
+            ((_node_id(nd["id"], f"nodes[{i}].id"), str(nd["role"]),
+              float(nd["r_out"]), float(nd["l_out"]))
              for i, nd in enumerate(doc["nodes"])),
-            key=lambda nd: nd.id))
+            key=lambda row: row[0])
         edges = tuple(EdgeSpec(_node_id(e["a"], f"edges[{k}].a"), _node_id(e["b"], f"edges[{k}].b"),
                                float(e["length"]))
                       for k, e in enumerate(doc["edges"]))
-        return PowerNetwork(
-            nodes=nodes,
-            edges=edges,
-            r_per_len=float(line["r_per_len"]),
-            l_per_len=float(line["l_per_len"]),
-            omega=float(doc["frequency_rad_s"]),
-            length_unit=str(line["length_unit"]),
-        )
+        r_per_len = float(line["r_per_len"])
+        l_per_len = float(line["l_per_len"])
+        length_unit = str(line["length_unit"])
+        omega = float(doc["frequency_rad_s"])
     except KeyError as exc:
         raise ParseError(f"missing field {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed value: {exc}") from exc
+    ids, roles, r_out, l_out = tuple(zip(*rows)) or ((),) * 4
+    return PowerNetwork(Topology(ids, roles, edges, r_per_len, l_per_len, length_unit),
+                        Outputs(r_out, l_out, omega))
 
 
 def network_from_json(text: str) -> PowerNetwork:
@@ -271,14 +371,24 @@ def save_network(net: PowerNetwork, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 # Matrix assembly
 
+class PairColumns(NamedTuple):
+    """Every node pair k < k' in ``np.triu_indices`` order, as read-only columns."""
+
+    a: np.ndarray  # row index k
+    b: np.ndarray  # column index k'
+    i: np.ndarray  # node id of row a
+    j: np.ndarray  # node id of column b
+    edge: np.ndarray  # bool: a line joins the pair (the Laplacian entry is nonzero)
+
+
 @dataclass(frozen=True)
 class WeightedLaplacian:
     """L = B diag(gamma) B^T with gamma_k = 1/tau_k (inverse line lengths).
 
-    Treated as immutable: the eigendecomposition is computed on first use
-    and kept, with read-only arrays.  The records ``build_laplacian``
-    returns are shared by every consumer of a topology, so their own arrays
-    are read-only as well.
+    Treated as immutable: the eigendecomposition and the pair columns are
+    computed on first use and kept, with read-only arrays.  The records
+    ``build_laplacian`` returns are shared by every consumer of a topology,
+    so their own arrays are read-only as well.
     """
 
     matrix: np.ndarray  # n x n symmetric PSD
@@ -295,23 +405,33 @@ class WeightedLaplacian:
         spec.eigenvectors.flags.writeable = False
         return spec
 
+    @cached_property
+    def pairs(self) -> PairColumns:
+        a, b = np.triu_indices(len(self.node_ids), 1)
+        ids = np.array(self.node_ids)
+        cols = PairColumns(a, b, ids[a], ids[b], self.matrix[a, b] != 0.0)
+        for col in cols:
+            col.flags.writeable = False
+        return cols
+
 
 def build_laplacian(net: PowerNetwork) -> WeightedLaplacian:
     """The network's Laplacian record, assembled once per topology.
 
     Copies made by ``PowerNetwork.with_outputs`` share it.
     """
-    return net._laplacian
+    return net.topology.laplacian
 
 
-def _assemble_laplacian(net: PowerNetwork) -> WeightedLaplacian:
+def _assemble_laplacian(top: Topology) -> WeightedLaplacian:
     """Scatter-add of each edge's weight into L; equals B diag(gamma) B^T."""
-    ids = net.node_ids()
+    ids = top.ids
+    n = len(ids)
     index = {nid: i for i, nid in enumerate(ids)}
-    a = np.array([index[e.a] for e in net.edges], dtype=int)
-    b = np.array([index[e.b] for e in net.edges], dtype=int)
-    gamma = np.array([1.0 / e.length for e in net.edges])
-    L = np.zeros((net.n, net.n))
+    a = np.array([index[e.a] for e in top.edges], dtype=int)
+    b = np.array([index[e.b] for e in top.edges], dtype=int)
+    gamma = np.array([1.0 / e.length for e in top.edges])
+    L = np.zeros((n, n))
     np.add.at(L, (a, a), gamma)
     np.add.at(L, (b, b), gamma)
     np.add.at(L, (a, b), -gamma)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netinduct import EdgeSpec, NodeSpec, PowerNetwork, network
+from netinduct import PowerNetwork, network, network_from_dict
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -22,10 +22,12 @@ def fixtures_dir() -> Path:
 
 @pytest.fixture
 def count_linalg(monkeypatch) -> Counter:
-    """Counts calls of the ``numpy.linalg`` entry points, and Laplacian assemblies.
+    """Counts calls of the ``numpy.linalg`` entry points, Laplacian assemblies
+    and topology validations.
 
     Only calls made through ``np.linalg.<name>`` are seen: the ``svd`` inside
-    ``cond`` counts as a ``cond``.  Assemblies count under ``"laplacian"``.
+    ``cond`` counts as a ``cond``.  Assemblies count under ``"laplacian"``,
+    validations under ``"topology"``.
     """
     counts = Counter()
 
@@ -39,21 +41,26 @@ def count_linalg(monkeypatch) -> Counter:
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     monkeypatch.setattr(network, "_assemble_laplacian",
                         counted("laplacian", network._assemble_laplacian))
+    monkeypatch.setattr(network, "_validate_topology",
+                        counted("topology", network._validate_topology))
     return counts
 
 
 def make_network(edges, r=1.0, l=0.01, omega=OMEGA_50, r_out=0.0, l_out=0.0,
                  roles=None, unit="pu") -> PowerNetwork:
     """Network from (a, b, length) triples; scalar or per-node outputs."""
-    ids = sorted({i for e in edges for i in e[:2]})
+    ids = sorted({int(i) for e in edges for i in e[:2]})
     n = len(ids)
     r_out = np.broadcast_to(np.asarray(r_out, dtype=float), (n,))
     l_out = np.broadcast_to(np.asarray(l_out, dtype=float), (n,))
     roles = roles or {}
-    nodes = tuple(NodeSpec(i, roles.get(i, "source"), float(r_out[k]), float(l_out[k]))
-                  for k, i in enumerate(ids))
-    return PowerNetwork(nodes, tuple(EdgeSpec(a, b, float(t)) for a, b, t in edges),
-                        float(r), float(l), float(omega), unit)
+    return network_from_dict({
+        "frequency_rad_s": omega,
+        "line": {"r_per_len": r, "l_per_len": l, "length_unit": unit},
+        "nodes": [{"id": i, "role": roles.get(i, "source"), "r_out": r_out[k], "l_out": l_out[k]}
+                  for k, i in enumerate(ids)],
+        "edges": [{"a": int(a), "b": int(b), "length": t} for a, b, t in edges],
+    })
 
 
 def random_connected_edges(rng: np.random.Generator, n: int,

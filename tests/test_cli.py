@@ -133,7 +133,8 @@ def test_simulate_reports_route(capsys, name):
 # a change that moves a count says why.  One Laplacian record per network
 # serves every command: its eigh is shared by the measures, the phasor
 # guard and every step of a sweep, and simulate --worst-case reuses the
-# trajectory's eig.
+# trajectory's eig.  Every command validates the topology once: the copies
+# that overrides and sweep steps make validate their outputs only.
 LINALG_COUNTS = {
     "analyze": {"laplacian": 1, "eigh": 1},
     "analyze-lo-ro": {"laplacian": 1, "eigh": 1},
@@ -157,7 +158,7 @@ def test_linalg_calls_per_command(capsys, tmp_path, count_linalg, label):
             for a in COMMANDS[label](json.loads(fixture.read_text()))]
     code, _, _ = run(capsys, argv[0], fixture, *argv[1:])
     assert code == 0
-    want = dict.fromkeys(LINALG_CALLS + ("laplacian",), 0) | LINALG_COUNTS[label]
+    want = dict.fromkeys(LINALG_CALLS + ("laplacian",), 0) | {"topology": 1} | LINALG_COUNTS[label]
     assert {name: count_linalg[name] for name in want} == want
 
 
@@ -198,13 +199,22 @@ def test_simulate_bad_grid_is_input_error(capsys, grid):
     (("sweep", "--lo-min", "1e-4", "--lo-max", "inf"), "--lo-max"),
     (("sweep", "--lo-min", "1e-4", "--lo-max", "1e-3", "--steps", "0"), "--steps"),
     (("sweep", "--lo-min", "1e-4", "--lo-max", "1e-3", "--steps", "-3"), "--steps"),
+    (("sweep", "--lo-min", "1e-4", "--lo-max", "1e-3", "--lo", "5"), "--lo"),
+    (("sweep", "--lo-min", "1e-4", "--lo-max", "1e-3", "--ro", "0.5"), "--ro"),
     (("kron", "--sources", "1"), "sources"),
-], ids=["lo-min=0", "lo-max=inf", "steps=0", "steps=-3", "one-source"])
+], ids=["lo-min=0", "lo-max=inf", "steps=0", "steps=-3", "lo", "ro=0.5", "one-source"])
 def test_bad_sweep_or_sources_is_input_error(capsys, argv, name):
     code, out, err = run(capsys, argv[0], FIXTURES / "path4.json", *argv[1:])
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {name}:")
+
+
+def test_sweep_accepts_zero_output_resistance(capsys):
+    argv = ("sweep", FIXTURES / "path4.json", "--lo-min", "1e-3", "--lo-max", "1e-2", "--steps", "2")
+    code, want, _ = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, "--ro", "0") == (0, want, "")
 
 
 def test_optimize_budget(capsys):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netinduct import (ParseError, ValidationError, build_laplacian,
+from netinduct import (ParseError, PowerNetwork, ValidationError, build_laplacian,
                        load_network, network_from_dict, network_from_json,
                        network_to_dict, save_network)
+from netinduct.network import Outputs
 from conftest import make_network, random_connected_edges
 
 
@@ -103,6 +104,85 @@ def test_laplacian_record_is_shared_and_read_only(fixtures_dir):
     assert build_laplacian(load_network(fixtures_dir / "ieee13_50hz.json")) is not lap
 
 
+def test_output_and_pair_arrays_are_read_only(fixtures_dir):
+    net = load_network(fixtures_dir / "ieee13_50hz.json")
+    swept = net.with_outputs(r_out=0.3, l_out=2e-3)
+    pairs = build_laplacian(net).pairs
+    for array in (net.r_out_vector(), net.l_out_vector(), swept.r_out_vector(),
+                  swept.l_out_vector(), pairs.a, pairs.b, pairs.i, pairs.j, pairs.edge):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    # an output set copies what it is given, so it never aliases writable memory
+    values = np.full(net.n, 0.1)
+    built = PowerNetwork(net.topology, Outputs(values, values, net.omega))
+    values[:] = 0.2
+    assert np.all(built.r_out_vector() == 0.1) and np.all(built.l_out_vector() == 0.1)
+    assert not np.shares_memory(swept.with_outputs(omega=100.0).l_out_vector(),
+                                swept.l_out_vector())
+
+
+@pytest.mark.parametrize("r_out, l_out", [([0.1, 0.2], [0.1]), ([], []), ([[0.1]], [[0.1]]),
+                                           (["x"], [0.1])])
+def test_malformed_output_set_rejected(r_out, l_out):
+    with pytest.raises(ValidationError, match="^outputs: "):
+        Outputs(r_out, l_out, 100.0)
+
+
+def test_output_set_must_match_the_topology(fixtures_dir):
+    net = load_network(fixtures_dir / "path4.json")
+    with pytest.raises(ValidationError, match="^outputs: 3 values per field for 4 nodes"):
+        PowerNetwork(net.topology, Outputs([0.0] * 3, [0.0] * 3, net.omega))
+
+
+_OVERRIDES = st.one_of(
+    st.none(),
+    st.floats(min_value=0.0, max_value=1e3),
+    st.sampled_from([0.0, -0.0, -1e-3, math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1), per_node=st.booleans(),
+       r_out=_OVERRIDES, l_out=_OVERRIDES, omega=_OVERRIDES)
+def test_with_outputs_validates_like_the_edited_document(n, seed, per_node, r_out, l_out, omega):
+    # with_outputs validates the new output set only; the result must be what a
+    # full load of the same document gives, error messages included
+    rng = np.random.default_rng(seed)
+    size = n if per_node else None
+    base = make_network(random_connected_edges(rng, n),
+                        r_out=rng.choice([0.0, 0.5], size=size) * rng.uniform(0, 1, size),
+                        l_out=rng.choice([0.0, 1e-3], size=size) * rng.uniform(0, 1, size))
+    doc = network_to_dict(base)
+    for nd in doc["nodes"]:
+        if r_out is not None:
+            nd["r_out"] = r_out
+        if l_out is not None:
+            nd["l_out"] = l_out
+    if omega is not None:
+        doc["frequency_rad_s"] = omega
+
+    def build(make):
+        try:
+            return make()
+        except ValidationError as exc:
+            return str(exc)
+
+    want = build(lambda: network_from_dict(doc))
+    got = build(lambda: base.with_outputs(r_out=r_out, l_out=l_out, omega=omega))
+    valid = (all(v is None or 0.0 <= v < math.inf for v in (r_out, l_out))
+             and (omega is None or 0.0 < omega < math.inf))
+    assert isinstance(want, str) != valid
+    assert got == want  # the identical message, or equal networks
+    if not valid:
+        return
+    assert got.nodes == want.nodes and got.omega == want.omega
+    assert np.array_equal(got.r_out_vector(), want.r_out_vector())
+    assert np.array_equal(got.l_out_vector(), want.l_out_vector())
+    assert got.uniform_outputs() == want.uniform_outputs()
+    assert got.topology is base.topology
+    assert build_laplacian(got) is build_laplacian(base)
+
+
 def test_laplacian_complete4_unit():
     edges = [(a, b, 1.0) for a in range(1, 5) for b in range(a + 1, 5)]
     L = build_laplacian(make_network(edges)).matrix
@@ -186,6 +266,7 @@ def test_serialization_round_trip(fixtures_dir, tmp_path, name):
     (lambda d: d["line"].update(l_per_len=math.inf), "line.l_per_len"),
     (lambda d: d["edges"][0].update(length=-math.inf), "edges[0].length"),
     (lambda d: d["nodes"][0].update(l_out=math.nan), "nodes[0].l_out"),
+    (lambda d: d["nodes"][1].update(r_out=math.inf), "nodes[1].r_out"),
     (lambda d: d.update(frequency_rad_s=math.inf), "frequency_rad_s"),
 ])
 def test_non_finite_numbers_rejected(mutate, field):

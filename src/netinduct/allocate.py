@@ -11,7 +11,10 @@ the design step is the small eigenvalue SDP
 
 It is solved, scaled to unit budget and to lam_min = 1 at the uniform
 split, by a primal-dual interior-point method (HKM direction with a
-Mehrotra predictor-corrector).  Any W >= 0 with tr W = 1 bounds the
+Mehrotra predictor-corrector).  Each Newton step factors once: one stacked
+eigh of the primal slack Z and the dual W gives lam_min, Z^-1 and both
+step-length scalings, and predictor and corrector share one equilibration
+of the Newton system.  Any W >= 0 with tr W = 1 bounds the
 optimum from above by UB = b^T g + (c - sum(b)) max_i g_i, where
 g_i = s_i^T W s_i and s_i is row i of S; the dual iterates supply such W.
 The solver stops once the certified relative gap (UB - lam2) / UB is at
@@ -87,33 +90,10 @@ def _lift(L: np.ndarray) -> tuple[np.ndarray, float]:
     return U[:, 1:] * np.sqrt(np.clip(lam[1:], 0.0, None)), float(lam[1])
 
 
-def _upper_bound(A: np.ndarray, W: np.ndarray, beta: np.ndarray, free: float) -> float:
-    """max lam_min(A^T diag(x) A) over {x >= beta, sum(x - beta) = free} is at most this."""
-    g = np.einsum("ij,ij->i", A @ W, A) / np.trace(W)
+def _upper_bound(g: np.ndarray, beta: np.ndarray, free: float) -> float:
+    """max lam_min(A^T diag(x) A) over {x >= beta, sum(x - beta) = free} is at most
+    this, for g_i = a_i^T W a_i with W >= 0 and tr W = 1."""
     return float(beta @ g + free * g.max())
-
-
-def _max_step(X: np.ndarray, dX: np.ndarray) -> float:
-    """min(1, 0.95 * the largest a keeping X + a dX positive definite), for X > 0."""
-    Ci = np.linalg.inv(np.linalg.cholesky(X))
-    low = np.linalg.eigvalsh(Ci @ dX @ Ci.T)[0]
-    return 1.0 if low >= -0.95 else -0.95 / low
-
-
-def _max_step_vec(v: np.ndarray, dv: np.ndarray) -> float:
-    neg = dv < 0
-    return min(1.0, 0.95 * float(np.min(v[neg] / -dv[neg]))) if np.any(neg) else 1.0
-
-
-def _solve_kkt(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve K y = rhs after symmetric diagonal (Ruiz) equilibration of K."""
-    d = np.ones(len(K))
-    M = K
-    for _ in range(3):
-        r = 1.0 / np.sqrt(np.abs(M).max(axis=1))
-        M = M * r[:, None] * r[None, :]
-        d *= r
-    return d * np.linalg.solve(M, d * rhs)
 
 
 def _interior_point(A: np.ndarray, beta: np.ndarray):
@@ -121,42 +101,55 @@ def _interior_point(A: np.ndarray, beta: np.ndarray):
 
     Primal (x, t) with slacks Z = A^T diag(x) A - t I and s = x - beta; dual
     W >= 0 with tr W = 1, u >= 0 and nu with a_i^T W a_i + u_i = nu.  The
-    start is feasible for both (x uniform over the free budget, W = I/m).
+    start is feasible for both (x uniform over the free budget, t one below
+    its lam_min, W = I/m).  The eigenpairs of Z and W give the scalings F
+    with F Z F^T = F W F^T = I, so the largest steps keeping Z and W
+    positive definite come from the eigenvalues of F dZ F^T and F dW F^T.
     Returns (x with the largest lam_min, that lam_min, the smallest
     certified upper bound, Newton steps).
     """
     k, m = A.shape
     free = 1.0 - beta.sum()
     x = beta + free / k
-    t = np.linalg.eigvalsh((A.T * x) @ A)[0] - 1.0
-    W = np.eye(m) / m
-    g = np.einsum("ij,ij->i", A @ W, A)
+    eye = np.eye(m)
+    W = eye / m
+    g = np.einsum("ij,ij->i", A, A) / m
     nu = g.max() + 1.0
     u = nu - g
     lb_best, x_best, ub_best = -np.inf, x, np.inf
     steps = 0
     while True:
         s = x - beta
-        lam, V = np.linalg.eigh((A.T * x) @ A)
+        AW = A @ W
+        g = np.einsum("ij,ij->i", AW, A)
+        (lam, w), (V, Q) = np.linalg.eigh(np.stack([(A.T * x) @ A, W]))
+        if steps == 0:
+            t = lam[0] - 1.0
         z = lam - t
         if lam[0] > lb_best:
             lb_best, x_best = float(lam[0]), x
-        ub_best = min(ub_best, _upper_bound(A, W, beta, free))
-        if ub_best - lb_best <= _GAP_TARGET * ub_best or steps == _MAX_STEPS or z[0] <= 0:
+        ub_best = min(ub_best, _upper_bound(g / np.trace(W), beta, free))
+        if (ub_best - lb_best <= _GAP_TARGET * ub_best or steps == _MAX_STEPS
+                or z[0] <= 0 or w[0] <= 0):  # past the boundary, round-off ends the run
             break
         Z = (V * z) @ V.T
         Zi = (V / z) @ V.T
+        F = np.stack([V.T / np.sqrt(z)[:, None], Q.T / np.sqrt(w)[:, None]])
         mu = (np.sum(Z * W) + s @ u) / (m + k)
         AZi = A @ Zi
-        g = np.einsum("ij,ij->i", A @ W, A)
         h = np.einsum("ij,ij->i", AZi @ W, A)  # a_i^T Z^-1 W a_i
-        # Schur complement of the HKM Newton system in (dx, dt, dnu)
+        # Schur complement of the HKM Newton system in (dx, dt, dnu), Ruiz-equilibrated
         K = np.zeros((k + 2, k + 2))
-        K[:k, :k] = (A @ W @ A.T) * (AZi @ A.T)
+        K[:k, :k] = (AW @ A.T) * (AZi @ A.T)
         K[np.arange(k), np.arange(k)] += u / s
         K[:k, k] = K[k, :k] = -h
         K[k, k] = np.sum(Zi * W.T)
         K[:k, k + 1] = K[k + 1, :k] = 1.0
+        e = np.ones(k + 2)
+        for _ in range(3):
+            r = 1.0 / np.sqrt(np.abs(K).max(axis=1))
+            K = K * r[:, None] * r[None, :]
+            e *= r
         r_dual = g + u - nu
         r_trace = np.trace(W) - 1.0
         r_budget = x.sum() - 1.0
@@ -165,15 +158,16 @@ def _interior_point(A: np.ndarray, beta: np.ndarray):
             """Newton step towards W Z = mu' I, u s = mu'; Wc, uc carry mu' and the corrector."""
             rhs = np.concatenate([r_dual + np.einsum("ij,ij->i", A @ Wc, A) + uc,
                                   [-r_trace - np.trace(Wc)], [-r_budget]])
-            sol = _solve_kkt(K, rhs)
+            sol = e * np.linalg.solve(K, e * rhs)
             dx, dt, dnu = sol[:k], sol[k], sol[k + 1]
-            dZ = (A.T * dx) @ A - dt * np.eye(m)
+            dZ = (A.T * dx) @ A - dt * eye
             T = W @ dZ @ Zi
             dW = Wc - 0.5 * (T + T.T)
             du = uc - (u / s) * dx
-            step = min(_max_step(Z, dZ), _max_step_vec(s, dx),
-                       _max_step(W, dW), _max_step_vec(u, du))
-            return dx, dt, dnu, dZ, dW, du, step
+            # 0.95 of the way to the boundary of Z, W, s, u > 0, and at most 1
+            low = min(np.linalg.eigvalsh(F @ np.stack([dZ, dW]) @ F.transpose(0, 2, 1)).min(),
+                      np.min(dx / s), np.min(du / u))
+            return dx, dt, dnu, dZ, dW, du, 1.0 if low >= -0.95 else -0.95 / low
 
         try:
             dx, dt, dnu, dZ, dW, du, step = direction(-W, -u)  # predictor
@@ -210,8 +204,8 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
     k = L.shape[0]
     if free <= 1e-12 * c:  # the simplex is the single point b
         best, steps = b, 0
-        v = np.linalg.eigh((S.T * b) @ S)[1][:, :1]
-        upper = _upper_bound(S, v @ v.T, b, max(free, 0.0))
+        v = np.linalg.eigh((S.T * b) @ S)[1][:, 0]
+        upper = _upper_bound((S @ v) ** 2, b, max(free, 0.0))
     else:  # scaled to unit budget, with lam_min = 1 at the uniform split
         x, _, ub, steps = _interior_point(S * math.sqrt(k / lam2_L), b / c)
         spent = np.clip(x - b / c, 0.0, None)
@@ -248,13 +242,12 @@ def allocation_landscape(problem: AllocationProblem, resolution: int) -> np.ndar
     free = problem.budget - b.sum()
     S, _ = _lift(L)
 
-    rows = []
-    for combo in itertools.combinations(range(resolution + n - 1), n - 1):
-        ks = np.diff((-1,) + combo + (resolution + n - 1,)) - 1
-        coords = ks / resolution
-        d = b + free * coords
-        rows.append(np.concatenate([coords, [np.linalg.eigvalsh((S.T * d) @ S)[0]]]))
-    return np.array(rows)
+    coords = np.array([np.diff((-1,) + combo + (resolution + n - 1,)) - 1
+                       for combo in itertools.combinations(range(resolution + n - 1), n - 1)]
+                      ) / resolution
+    d = b + free * coords
+    # one stacked eigvalsh of S^T diag(d_p) S over every grid point p
+    return np.column_stack([coords, np.linalg.eigvalsh((S.T * d[:, None, :]) @ S)[:, 0]])
 
 
 def _reduced_matrix(net: PowerNetwork, sources=None) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Commands: analyze, kron, simulate, optimize, landscape, sweep.
-Exit codes: 0 success, 2 input error, 3 numerical error.  All numeric JSON
-output uses Python's round-trip float representation.
+Exit codes: 0 success, 2 input error, 3 numerical error.  An override
+(--lo, --ro, --omega) that a command would not read is an input error.  All
+numeric JSON output uses Python's round-trip float representation.
 """
 
 from __future__ import annotations
@@ -21,6 +22,13 @@ from .errors import NetinductError, ParseError, SpectralMismatchError, \
     ValidationError
 from .network import PowerNetwork, build_laplacian, load_network
 from .spectra import algebraic_connectivity, eig_symmetric
+
+
+def _reject_unread(args, why: str, *flags: str) -> None:
+    """Exit 2, naming the flag, on an override the command would ignore."""
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            raise ValidationError(f"--{flag}: {why}, got {getattr(args, flag)!r}")
 
 
 def _load(args) -> PowerNetwork:
@@ -68,6 +76,8 @@ def _parse_sources(spec: str, net: PowerNetwork) -> list[int]:
 
 
 def cmd_kron(args) -> int:
+    if not args.phasor:
+        _reject_unread(args, "the real Kron reduction reads only the lines", "lo", "ro", "omega")
     net = _load(args)
     if args.phasor:
         red = kron.phasor_reduce(net)
@@ -104,6 +114,7 @@ def _worst_case_i0(net: PowerNetwork, dyn: measures.AugmentedDynamics,
 
 
 def cmd_simulate(args) -> int:
+    _reject_unread(args, "trajectories do not depend on the frequency", "omega")
     net = _load(args)
     if args.tmax is not None and not 0.0 < args.tmax < math.inf:
         raise ValidationError(f"--tmax: must be a finite number > 0, got {args.tmax!r}")
@@ -146,6 +157,8 @@ def _problem(args, net: PowerNetwork, sources: list[int] | None) -> allocate.All
 
 
 def cmd_optimize(args) -> int:
+    _reject_unread(args, "optimize chooses the output inductances and models no output "
+                         "resistance", "lo", "ro")
     net = _load(args)
     sources = _parse_sources(args.sources, net) if args.sources else None
     if args.target_theta is not None:
@@ -166,6 +179,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_landscape(args) -> int:
+    _reject_unread(args, "the landscape reads only the lines", "lo", "ro", "omega")
     net = _load(args)
     sources = _parse_sources(args.sources, net) if args.sources else None
     grid = allocate.allocation_landscape(_problem(args, net, sources), args.resolution)
@@ -181,8 +195,7 @@ def cmd_landscape(args) -> int:
 
 def cmd_sweep(args) -> int:
     # every step sets r_out = 0 and its own l_out, so an override would be ignored
-    if args.lo is not None:
-        raise ValidationError(f"--lo: sweep sets l_out at each step, got {args.lo!r}")
+    _reject_unread(args, "sweep sets l_out at each step", "lo")
     if args.ro is not None and args.ro != 0.0:
         raise ValidationError(f"--ro: sweep models inductive outputs only (r_out = 0), "
                               f"got {args.ro!r}")

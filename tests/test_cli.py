@@ -134,7 +134,9 @@ def test_simulate_reports_route(capsys, name):
 # serves every command: its eigh is shared by the measures, the phasor
 # guard and every step of a sweep, and simulate --worst-case reuses the
 # trajectory's eig.  Every command validates the topology once: the copies
-# that overrides and sweep steps make validate their outputs only.
+# that overrides and sweep steps make validate their outputs only.  complete4
+# is optimal at the uniform split, so optimize takes no Newton step here; the
+# landscape solves its whole grid in one stacked eigvalsh.
 LINALG_COUNTS = {
     "analyze": {"laplacian": 1, "eigh": 1},
     "analyze-lo-ro": {"laplacian": 1, "eigh": 1},
@@ -143,9 +145,9 @@ LINALG_COUNTS = {
     "kron-phasor": {"laplacian": 1, "eigh": 1, "solve": 1},
     "simulate": {"laplacian": 1, "eigh": 1, "eig": 1, "cond": 2, "solve": 2},
     "simulate-worst-case": {"laplacian": 1, "eigh": 1, "eig": 1, "cond": 2, "solve": 2},
-    "optimize-budget": {"laplacian": 1, "eigh": 2, "eigvalsh": 2},
-    "optimize-target-theta": {"laplacian": 1, "eigh": 2, "eigvalsh": 2},
-    "landscape": {"laplacian": 1, "eigh": 1, "eigvalsh": 35},
+    "optimize-budget": {"laplacian": 1, "eigh": 2, "eigvalsh": 1},
+    "optimize-target-theta": {"laplacian": 1, "eigh": 2, "eigvalsh": 1},
+    "landscape": {"laplacian": 1, "eigh": 1, "eigvalsh": 1},
     "sweep": {"laplacian": 1, "eigh": 1, "solve": 5},
 }
 
@@ -159,6 +161,19 @@ def test_linalg_calls_per_command(capsys, tmp_path, count_linalg, label):
     code, _, _ = run(capsys, argv[0], fixture, *argv[1:])
     assert code == 0
     want = dict.fromkeys(LINALG_CALLS + ("laplacian",), 0) | {"topology": 1} | LINALG_COUNTS[label]
+    assert {name: count_linalg[name] for name in want} == want
+
+
+def test_linalg_calls_per_newton_step(capsys, count_linalg):
+    # each step of the allocation solver factors once: one stacked eigh of
+    # (Z, W), one stacked eigvalsh and one solve each for predictor and
+    # corrector; plus the lift's eigh, the last iterate's eigh and lam2
+    code, out, _ = run(capsys, "optimize", FIXTURES / "path4.json", "--budget", "5e-3")
+    assert code == 0
+    passes = json.loads(out)["diagnostics"]["passes"]
+    assert passes == 8
+    want = dict.fromkeys(LINALG_CALLS, 0) | {"laplacian": 1, "topology": 1, "eigh": passes + 2,
+                                             "eigvalsh": 2 * passes + 1, "solve": 2 * passes}
     assert {name: count_linalg[name] for name in want} == want
 
 
@@ -208,6 +223,42 @@ def test_bad_sweep_or_sources_is_input_error(capsys, argv, name):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {name}:")
+
+
+# the overrides each golden command would ignore: each is an input error
+UNREAD_OVERRIDES = {
+    "analyze": (),
+    "kron": ("lo", "omega", "ro"),
+    "kron-phasor": (),
+    "landscape": ("lo", "omega", "ro"),
+    "optimize-budget": ("lo", "ro"),
+    "optimize-target-theta": ("lo", "ro"),
+    "simulate": ("omega",),
+    "simulate-worst-case": ("omega",),
+    "sweep": ("lo", "ro"),
+}
+OVERRIDES = {"lo": "5e-3", "omega": "100.0", "ro": "0.3"}
+
+
+@pytest.mark.filterwarnings("ignore:all nodes are sources")
+@pytest.mark.parametrize("flag", sorted(OVERRIDES))
+@pytest.mark.parametrize("label", sorted(UNREAD_OVERRIDES))
+def test_override_is_read_or_rejected(capsys, tmp_path, label, flag):
+    fixture = FIXTURES / "complete4.json"
+    argv = [str(tmp_path / "out.csv") if a == CSV else a
+            for a in COMMANDS[label](json.loads(fixture.read_text()))]
+    code, want, _ = run(capsys, argv[0], fixture, *argv[1:])
+    assert code == 0
+    code, got, err = run(capsys, argv[0], fixture, *argv[1:], f"--{flag}", OVERRIDES[flag])
+    if flag in UNREAD_OVERRIDES[label]:
+        assert (code, got) == (2, "")
+        assert err.startswith(f"error: --{flag}:")
+    elif (label, flag) == ("kron-phasor", "ro"):  # read, and rejected by the phasor model
+        assert (code, got) == (2, "")
+        assert err.startswith("error: r_out:")
+    else:
+        assert code == 0
+        assert got != want
 
 
 def test_sweep_accepts_zero_output_resistance(capsys):

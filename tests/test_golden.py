@@ -106,3 +106,39 @@ def test_cli_matches_golden(path):
         alloc_tol = max(gap * budget, RTOL * _scale(_leaves(w["allocation"])))
         _compare_json(g.pop("allocation"), w.pop("allocation"), "allocation", alloc_tol)
     _compare_json(g, w, "stdout")
+
+
+def _lambda2(fixture: Path, allocation: dict) -> float:
+    """lam2(diag(allocation) L) from the fixture's lines, through D^1/2 L D^1/2."""
+    doc = json.loads(fixture.read_text())
+    index = {str(nd["id"]): k for k, nd in enumerate(doc["nodes"])}
+    L = np.zeros((len(index), len(index)))
+    for e in doc["edges"]:
+        a, b = index[str(e["a"])], index[str(e["b"])]
+        L[[a, b], [a, b]] += 1.0 / e["length"]
+        L[[a, b], [b, a]] -= 1.0 / e["length"]
+    d = np.zeros(len(index))
+    for node, value in allocation.items():
+        d[index[node]] = value
+    return float(np.linalg.eigvalsh(np.sqrt(d)[:, None] * L * np.sqrt(d))[1])
+
+
+OPTIMIZE = [p for p in GOLDEN if ".optimize-" in p.name and json.loads(p.read_text())["exit"] == 0]
+
+
+@pytest.mark.parametrize("path", OPTIMIZE, ids=lambda p: p.stem)
+def test_golden_allocation_is_certified(path):
+    # every golden allocation is checked against the fixture, not only replayed
+    want = json.loads(path.read_text())
+    rep = json.loads(want["stdout"])
+    diag = rep["diagnostics"]
+    alloc = rep["allocation"]
+    budget = float(want["argv"][want["argv"].index("--budget") + 1]) \
+        if "--budget" in want["argv"] else diag["budget"]
+    fixture = Path(__file__).resolve().parents[1] / want["argv"][1]
+    assert _lambda2(fixture, alloc) == pytest.approx(rep["lambda2"], rel=1e-12, abs=0.0)
+    assert diag["gap"] <= 1e-9
+    if "upper_bound" in diag:
+        assert diag["upper_bound"] >= rep["lambda2"] * (1.0 - 4 * np.finfo(float).eps)
+    assert min(alloc.values()) >= 0.0
+    assert math.fsum(alloc.values()) == pytest.approx(budget, rel=1e-12, abs=0.0)

@@ -3,7 +3,8 @@
 Commands: analyze, kron, simulate, optimize, landscape, sweep.
 Exit codes: 0 success, 2 input error, 3 numerical error.  An override
 (--lo, --ro, --omega) that a command would not read is an input error.  All
-numeric JSON output uses Python's round-trip float representation.
+numeric JSON output uses Python's round-trip float representation; a NaN or
+infinite result is not JSON, so it is a numerical error naming its key.
 """
 
 from __future__ import annotations
@@ -46,6 +47,34 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
+def _json(doc: dict) -> str:
+    """``doc`` as indented JSON text; every JSON document the CLI prints is made here."""
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        found = _non_finite(doc, "")
+        if found is None:
+            raise
+        raise NetinductError(f"{found[0]}: result is not a finite number, got {found[1]!r}") from None
+
+
+def _non_finite(value, where: str) -> tuple[str, float] | None:
+    """Key path and value of the first NaN or infinity in a JSON value, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else (where, value)
+    if isinstance(value, dict):
+        items = ((f"{where}.{key}" if where else str(key), item) for key, item in value.items())
+    elif isinstance(value, list):
+        items = ((f"{where}[{k}]", item) for k, item in enumerate(value))
+    else:
+        return None
+    for path, item in items:
+        found = _non_finite(item, path)
+        if found is not None:
+            return found
+    return None
+
+
 def _report_dict(rep: measures.MeasureReport) -> dict:
     return {
         "psi_nir": rep.psi_nir,
@@ -61,7 +90,7 @@ def _report_dict(rep: measures.MeasureReport) -> dict:
 def cmd_analyze(args) -> int:
     net = _load(args)
     rep = measures.measure_report(net)
-    _emit(json.dumps(_report_dict(rep), indent=2) + "\n", args)
+    _emit(_json(_report_dict(rep)), args)
     return 0
 
 
@@ -88,11 +117,11 @@ def cmd_kron(args) -> int:
     lap = build_laplacian(net)
     red = kron.kron_reduce_real(lap, _parse_sources(args.sources, net))
     lam2 = algebraic_connectivity(eig_symmetric(red.matrix)).value
-    _emit(json.dumps({
+    _emit(_json({
         "node_ids": list(red.node_ids()),
         "laplacian": red.matrix.tolist(),
         "lambda2": lam2,
-    }, indent=2) + "\n", args)
+    }), args)
     return 0
 
 
@@ -143,7 +172,7 @@ def cmd_simulate(args) -> int:
         "min_upper_slack": float(np.min(verdict.upper_slack)),
         "route": traj.route,
     }
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    sys.stdout.write(_json(report))
     return 0
 
 
@@ -168,13 +197,13 @@ def cmd_optimize(args) -> int:
             raise ValidationError("optimize: --budget or --target-theta is required")
         res = allocate.optimize_allocation(_problem(args, net, sources))
     ids = list(net.node_ids()) if sources is None else sources
-    _emit(json.dumps({
+    _emit(_json({
         "allocation": {str(i): v for i, v in zip(ids, res.allocation.tolist())},
         "lambda2": res.lam2,
         "psi_nir": res.psi_nir,
         "theta_nir": res.theta_nir,
         "diagnostics": res.diagnostics,
-    }, indent=2) + "\n", args)
+    }), args)
     return 0
 
 

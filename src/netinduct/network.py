@@ -7,17 +7,25 @@ a series output impedance (resistance + inductance) between its source and
 its grid connection point.
 
 A ``PowerNetwork`` is two records, each validated once, when it is built:
-a ``Topology`` (node ids and roles, edges and line constants), which owns
-the Laplacian record, and an ``Outputs`` set (per-node r_out and l_out as
-read-only arrays, and the frequency).  Outputs and frequency do not enter
-the Laplacian, so ``with_outputs`` builds and validates a new output set
-only and shares the topology, eigendecomposition included.
+a ``Topology`` (node ids and roles, the edges as three columns ``edge_a``,
+``edge_b`` and ``length``, and the line constants), which owns the Laplacian
+record, and an ``Outputs`` set (per-node r_out and l_out as read-only
+arrays, and the frequency).  Outputs and frequency do not enter the
+Laplacian, so ``with_outputs`` builds and validates a new output set only
+and shares the topology, eigendecomposition included.
+
+Parsing and validation work on whole columns.  A document's rows are read
+once, and a location such as ``edges[3].b`` is formatted only for an error:
+when a column check fails, the rows are walked in document order and the
+first fault is raised, so every message is the one a row-by-row check
+gives.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -55,18 +63,26 @@ class Topology:
 
     Node ``k`` has id ``ids[k]`` and role ``roles[k]``.  Ids are sorted, so
     matrix row/column ``k`` always refers to the node with the ``k``-th
-    smallest id.  The Laplacian record is assembled on first use and kept.
+    smallest id.  Edge ``k`` joins nodes ``edge_a[k]`` and ``edge_b[k]`` by
+    a line of length ``length[k]``; ``edges`` gives the same as rows, built
+    on access.  The Laplacian record is assembled on first use and kept.
     """
 
     ids: tuple[int, ...]
     roles: tuple[str, ...]
-    edges: tuple[EdgeSpec, ...]
+    edge_a: tuple[int, ...]
+    edge_b: tuple[int, ...]
+    length: tuple[float, ...]  # in the length unit
     r_per_len: float  # ohm / length unit
     l_per_len: float  # henry / length unit
     length_unit: str
 
     def __post_init__(self):
         _validate_topology(self)
+
+    @property
+    def edges(self) -> tuple[EdgeSpec, ...]:
+        return tuple(map(EdgeSpec, self.edge_a, self.edge_b, self.length))
 
     @cached_property
     def laplacian(self) -> "WeightedLaplacian":
@@ -114,9 +130,9 @@ class Outputs:
 class PowerNetwork:
     """Validated immutable network: a topology and an output set.
 
-    Each part is validated once, when it is built.  The node rows
-    (``nodes``, built on access), the edges, line constants, frequency and
-    output vectors read through to the two parts.
+    Each part is validated once, when it is built.  The node and edge rows
+    (``nodes`` and ``edges``, built on access), line constants, frequency
+    and output vectors read through to the two parts.
     """
 
     topology: Topology
@@ -158,7 +174,7 @@ class PowerNetwork:
 
     @property
     def m(self) -> int:
-        return len(self.topology.edges)
+        return len(self.topology.length)
 
     def node_ids(self) -> tuple[int, ...]:
         return self.topology.ids
@@ -224,33 +240,51 @@ def _validate_topology(top: Topology) -> None:
     if top.l_per_len <= 0:
         raise ValidationError(f"line.l_per_len: must be > 0, got {top.l_per_len}")
 
-    idset = set(ids)
-    seen: set[frozenset[int]] = set()
-    for k, e in enumerate(top.edges):
-        if e.a not in idset:
-            raise ValidationError(f"edges[{k}].a: unknown node id {e.a}")
-        if e.b not in idset:
-            raise ValidationError(f"edges[{k}].b: unknown node id {e.b}")
-        if e.a == e.b:
-            raise ValidationError(f"edges[{k}]: self-loop at node {e.a}")
-        key = frozenset((e.a, e.b))
-        if key in seen:
-            raise ValidationError(f"edges[{k}]: duplicate undirected edge {{{e.a}, {e.b}}}")
-        seen.add(key)
-        if not math.isfinite(e.length):
-            raise ValidationError(
-                f"edges[{k}].length: must be a finite number, got {e.length!r}")
-        if e.length <= 0:
-            raise ValidationError(f"edges[{k}].length: must be > 0, got {e.length}")
+    a, b, length = top.edge_a, top.edge_b, top.length
+    m = len(length)
+    if len(a) != m or len(b) != m:
+        raise ValidationError(f"edges: {len(a)} a ids, {len(b)} b ids and {m} lengths")
+    # a pair joined twice repeats an ordered pair or meets its reverse; a
+    # self-loop (x, x) is its own reverse, so the same test finds it
+    idset, pairs = set(ids), set(zip(a, b))
+    if not (idset.issuperset(a) and idset.issuperset(b)
+            and len(pairs) == m and pairs.isdisjoint(zip(b, a))
+            and all(map(math.isfinite, length))
+            and min(length, default=1.0) > 0.0):
+        _raise_first_edge_fault(idset, a, b, length)
 
-    stray = _disconnected_node(ids, top.edges)
+    stray = _disconnected_node(ids, a, b)
     if stray is not None:
         raise ValidationError(f"nodes: graph is disconnected (node {stray} unreachable from node {ids[0]})")
 
 
-def _disconnected_node(ids, edges) -> int | None:
-    """Union-find connectivity check; returns an unreachable node id or None."""
-    parent = {i: i for i in ids}
+def _raise_first_edge_fault(idset, edge_a, edge_b, length) -> None:
+    """Walk the edges in order and raise the first fault a column check found."""
+    seen: set[frozenset[int]] = set()
+    for k, (a, b, t) in enumerate(zip(edge_a, edge_b, length)):
+        if a not in idset:
+            raise ValidationError(f"edges[{k}].a: unknown node id {a}")
+        if b not in idset:
+            raise ValidationError(f"edges[{k}].b: unknown node id {b}")
+        if a == b:
+            raise ValidationError(f"edges[{k}]: self-loop at node {a}")
+        key = frozenset((a, b))
+        if key in seen:
+            raise ValidationError(f"edges[{k}]: duplicate undirected edge {{{a}, {b}}}")
+        seen.add(key)
+        if not math.isfinite(t):
+            raise ValidationError(f"edges[{k}].length: must be a finite number, got {t!r}")
+        if t <= 0:
+            raise ValidationError(f"edges[{k}].length: must be > 0, got {t}")
+
+
+def _disconnected_node(ids, edge_a, edge_b) -> int | None:
+    """Union-find connectivity check; returns an unreachable node id or None.
+
+    Edges are read only until n - 1 of them have joined two components,
+    which spans the graph.
+    """
+    parent = dict(zip(ids, ids))
 
     def find(x):
         while parent[x] != x:
@@ -258,10 +292,14 @@ def _disconnected_node(ids, edges) -> int | None:
             x = parent[x]
         return x
 
-    for e in edges:
-        ra, rb = find(e.a), find(e.b)
+    joins = len(ids) - 1  # still needed to span the graph
+    for a, b in zip(edge_a, edge_b):
+        ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
+            joins -= 1
+            if not joins:
+                return None
     root = find(ids[0])
     for i in ids:
         if find(i) != root:
@@ -304,18 +342,47 @@ def _node_id(value: Any, where: str) -> int:
     return value
 
 
+# field -> cast of each cell; None marks a node id, checked by ``_node_id``
+_NODE_FIELDS = {"id": None, "role": str, "r_out": float, "l_out": float}
+_EDGE_FIELDS = {"a": None, "b": None, "length": float}
+
+
+def _columns(rows, name: str, fields: dict) -> tuple[tuple, ...]:
+    """One tuple column per field of the JSON objects ``rows``, cast per field.
+
+    Every row is read once and no location is formatted.  On any fault (a
+    missing key, a non-integer id, a bad number) the rows are walked again
+    by ``_walk_rows``, which raises the first fault in document order.
+    """
+    try:
+        cols = tuple(zip(*map(operator.itemgetter(*fields), rows))) or ((),) * len(fields)
+        cols = tuple(col if cast is None else tuple(map(cast, col))
+                     for col, cast in zip(cols, fields.values()))
+        if all(cast is not None or {*map(type, col)} <= {int}
+               for col, cast in zip(cols, fields.values())):
+            return cols
+    except (KeyError, TypeError, ValueError):
+        pass
+    return _walk_rows(rows, name, fields)  # raises, or accepts ids of int subclasses
+
+
+def _walk_rows(rows, name: str, fields: dict) -> tuple[tuple, ...]:
+    """Row by row, field by field: the columns, or the first fault, located."""
+    cols = tuple([] for _ in fields)
+    for k, row in enumerate(rows):
+        for col, (key, cast) in zip(cols, fields.items()):
+            value = row[key]
+            col.append(_node_id(value, f"{name}[{k}].{key}") if cast is None else cast(value))
+    return tuple(map(tuple, cols))
+
+
 def network_from_dict(doc: dict[str, Any]) -> PowerNetwork:
     """Build a validated PowerNetwork from a parsed JSON document."""
     try:
         line = doc["line"]
-        rows = sorted(  # (id, role, r_out, l_out) per node
-            ((_node_id(nd["id"], f"nodes[{i}].id"), str(nd["role"]),
-              float(nd["r_out"]), float(nd["l_out"]))
-             for i, nd in enumerate(doc["nodes"])),
-            key=lambda row: row[0])
-        edges = tuple(EdgeSpec(_node_id(e["a"], f"edges[{k}].a"), _node_id(e["b"], f"edges[{k}].b"),
-                               float(e["length"]))
-                      for k, e in enumerate(doc["edges"]))
+        nodes = sorted(zip(*_columns(doc["nodes"], "nodes", _NODE_FIELDS)),
+                       key=operator.itemgetter(0))
+        edge_a, edge_b, length = _columns(doc["edges"], "edges", _EDGE_FIELDS)
         r_per_len = float(line["r_per_len"])
         l_per_len = float(line["l_per_len"])
         length_unit = str(line["length_unit"])
@@ -324,8 +391,9 @@ def network_from_dict(doc: dict[str, Any]) -> PowerNetwork:
         raise ParseError(f"missing field {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed value: {exc}") from exc
-    ids, roles, r_out, l_out = tuple(zip(*rows)) or ((),) * 4
-    return PowerNetwork(Topology(ids, roles, edges, r_per_len, l_per_len, length_unit),
+    ids, roles, r_out, l_out = tuple(zip(*nodes)) or ((),) * 4
+    return PowerNetwork(Topology(ids, roles, edge_a, edge_b, length, r_per_len, l_per_len,
+                                 length_unit),
                         Outputs(r_out, l_out, omega))
 
 
@@ -349,18 +417,19 @@ def load_network(path: str | Path) -> PowerNetwork:
 
 
 def network_to_dict(net: PowerNetwork) -> dict[str, Any]:
+    top, out = net.topology, net.outputs
     return {
-        "frequency_rad_s": net.omega,
+        "frequency_rad_s": out.omega,
         "line": {
-            "r_per_len": net.r_per_len,
-            "l_per_len": net.l_per_len,
-            "length_unit": net.length_unit,
+            "r_per_len": top.r_per_len,
+            "l_per_len": top.l_per_len,
+            "length_unit": top.length_unit,
         },
-        "nodes": [
-            {"id": nd.id, "role": nd.role, "r_out": nd.r_out, "l_out": nd.l_out}
-            for nd in net.nodes
-        ],
-        "edges": [{"a": e.a, "b": e.b, "length": e.length} for e in net.edges],
+        "nodes": [{"id": i, "role": role, "r_out": r, "l_out": l}
+                  for i, role, r, l in zip(top.ids, top.roles, out.r_out.tolist(),
+                                           out.l_out.tolist())],
+        "edges": [{"a": a, "b": b, "length": t}
+                  for a, b, t in zip(top.edge_a, top.edge_b, top.length)],
     }
 
 
@@ -424,18 +493,22 @@ def build_laplacian(net: PowerNetwork) -> WeightedLaplacian:
 
 
 def _assemble_laplacian(top: Topology) -> WeightedLaplacian:
-    """Scatter-add of each edge's weight into L; equals B diag(gamma) B^T."""
-    ids = top.ids
-    n = len(ids)
-    index = {nid: i for i, nid in enumerate(ids)}
-    a = np.array([index[e.a] for e in top.edges], dtype=int)
-    b = np.array([index[e.b] for e in top.edges], dtype=int)
-    gamma = np.array([1.0 / e.length for e in top.edges])
+    """L = B diag(gamma) B^T, assembled from the edge columns.
+
+    Each node pair carries at most one line (validated), so the
+    off-diagonals are assigned.  The diagonal is scatter-added in edge
+    order, every ``a`` end before every ``b`` end, which is the order of a
+    per-edge assembly: a sum in another order (``bincount``) moves the
+    diagonal by round-off, and outputs such as an optimizer's gap with it.
+    """
+    n, m = len(top.ids), len(top.length)
+    index = dict(zip(top.ids, range(n)))  # exact for any int id, unlike a numpy id array
+    a = np.fromiter(map(index.__getitem__, top.edge_a), np.intp, m)
+    b = np.fromiter(map(index.__getitem__, top.edge_b), np.intp, m)
+    gamma = 1.0 / np.array(top.length, dtype=float)
     L = np.zeros((n, n))
-    np.add.at(L, (a, a), gamma)
-    np.add.at(L, (b, b), gamma)
-    np.add.at(L, (a, b), -gamma)
-    np.add.at(L, (b, a), -gamma)
+    L[a, b] = L[b, a] = -gamma
+    np.add.at(L.reshape(-1), np.concatenate((a, b)) * (n + 1), np.concatenate((gamma, gamma)))
     L.flags.writeable = False
     gamma.flags.writeable = False
-    return WeightedLaplacian(L, gamma, ids)
+    return WeightedLaplacian(L, gamma, top.ids)

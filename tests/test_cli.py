@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from golden.regenerate import COMMANDS, CSV
+from netinduct import NetinductError, cli
 from netinduct.cli import main
 from conftest import FIXTURES, LINALG_CALLS
 
@@ -366,3 +367,28 @@ def test_non_finite_override_is_input_error(capsys):
     code, out, err = run(capsys, "analyze", FIXTURES / "star.json", "--lo", "nan")
     assert code == 2 and out == ""
     assert "l_out" in err
+
+
+def test_infinite_resistivity_ratio_is_numerical_error(capsys, tmp_path):
+    # r_o = 1e308 drives the slowest rate to inf; "psi_nrr": Infinity is not JSON
+    dest = tmp_path / "report.json"
+    code, out, err = run(capsys, "analyze", FIXTURES / "complete4.json", "--ro", "1e308",
+                         "-o", dest)
+    assert code == 3 and out == "" and not dest.exists()
+    assert err == "error: psi_nrr: result is not a finite number, got inf\n"
+
+
+def test_infinite_allocation_is_numerical_error(capsys):
+    # at omega = 5e-324 the target angle needs infinite inductors
+    code, out, err = run(capsys, "optimize", FIXTURES / "complete4.json",
+                         "--target-theta", "1.4", "--omega", "5e-324")
+    assert code == 3 and out == ""
+    assert err == "error: allocation.1: result is not a finite number, got inf\n"
+
+
+def test_non_finite_result_names_its_key():
+    with pytest.raises(NetinductError, match=r"^laplacian\[1\]\[0\]: .* got nan$"):
+        cli._json({"node_ids": [1, 2], "laplacian": [[1.0, -1.0], [math.nan, 1.0]]})
+    with pytest.raises(NetinductError, match=r"^diagnostics\.gap: .* got -inf$"):
+        cli._json({"lambda2": 1.0, "diagnostics": {"passes": 3, "gap": -math.inf}})
+    assert cli._json({"x": [1.0e308, 5e-324]}) == '{\n  "x": [\n    1e+308,\n    5e-324\n  ]\n}\n'

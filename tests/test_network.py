@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -9,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from netinduct import (ParseError, PowerNetwork, ValidationError, build_laplacian,
                        load_network, network_from_dict, network_from_json,
                        network_to_dict, save_network)
+from netinduct import network
 from netinduct.network import Outputs
-from conftest import make_network, random_connected_edges
+from conftest import FIXTURES, make_network, random_connected_edges
 
 
 def doc(nodes, edges, r=0.7, l=0.001, omega=2 * math.pi * 50):
@@ -289,3 +291,160 @@ def test_non_integer_ids_rejected(bad):
     edges["edges"][0]["b"] = bad
     with pytest.raises(ParseError, match=r"edges\[0\]\.b"):
         network_from_dict(edges)
+
+
+# --- Columnar parse and validation ----------------------------------------
+
+def _reference_edge_outcome(doc):
+    """The per-edge parse and validation of a document whose nodes and line
+    are valid: ``(exception type, message)`` of the first fault, or None."""
+    ids = sorted(nd["id"] for nd in doc["nodes"])
+    rows = []
+    for k, e in enumerate(doc["edges"]):
+        ends = []
+        for key in ("a", "b"):
+            if key not in e:
+                return ParseError, f"missing field {key!r}"
+            value = e[key]
+            if isinstance(value, bool) or not isinstance(value, int):
+                return ParseError, f"edges[{k}].{key}: node id must be an integer, got {value!r}"
+            ends.append(value)
+        if "length" not in e:
+            return ParseError, "missing field 'length'"
+        try:
+            rows.append((*ends, float(e["length"])))
+        except (TypeError, ValueError) as exc:
+            return ParseError, f"malformed value: {exc}"
+    seen = set()
+    for k, (a, b, t) in enumerate(rows):
+        for key, value in (("a", a), ("b", b)):
+            if value not in ids:
+                return ValidationError, f"edges[{k}].{key}: unknown node id {value}"
+        if a == b:
+            return ValidationError, f"edges[{k}]: self-loop at node {a}"
+        if frozenset((a, b)) in seen:
+            return ValidationError, f"edges[{k}]: duplicate undirected edge {{{a}, {b}}}"
+        seen.add(frozenset((a, b)))
+        if not math.isfinite(t):
+            return ValidationError, f"edges[{k}].length: must be a finite number, got {t!r}"
+        if t <= 0:
+            return ValidationError, f"edges[{k}].length: must be > 0, got {t}"
+    reached, frontier = {ids[0]}, [ids[0]]
+    while frontier:
+        node = frontier.pop()
+        for a, b, _ in rows:
+            for x, y in ((a, b), (b, a)):
+                if x == node and y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+    stray = [i for i in ids if i not in reached]
+    if stray:
+        return ValidationError, (f"nodes: graph is disconnected (node {stray[0]} "
+                                 f"unreachable from node {ids[0]})")
+    return None
+
+
+def _edge_order_laplacian(doc):
+    """Scatter-add of every edge's weight into L, in edge order."""
+    index = {nid: k for k, nid in enumerate(sorted(nd["id"] for nd in doc["nodes"]))}
+    a = np.array([index[e["a"]] for e in doc["edges"]], dtype=int)
+    b = np.array([index[e["b"]] for e in doc["edges"]], dtype=int)
+    gamma = np.array([1.0 / float(e["length"]) for e in doc["edges"]])
+    L = np.zeros((len(index), len(index)))
+    np.add.at(L, (a, a), gamma)
+    np.add.at(L, (b, b), gamma)
+    np.add.at(L, (a, b), -gamma)
+    np.add.at(L, (b, a), -gamma)
+    return L
+
+
+FAULTS = ("unknown_id", "self_loop", "duplicate", "reversed_duplicate", "zero_length",
+          "negative_length", "nan_length", "inf_length", "minus_inf_length", "bool_id",
+          "float_id", "missing_key", "null_length", "dropped_edge")
+
+
+def _inject(rng, doc, fault):
+    edges, ids = doc["edges"], [nd["id"] for nd in doc["nodes"]]
+    k = int(rng.integers(len(edges)))
+    e, end = edges[k], str(rng.choice(["a", "b"]))
+    if fault == "unknown_id":
+        e[end] = max(ids) + 1 + int(rng.integers(3))
+    elif fault == "self_loop":
+        e["a" if end == "b" else "b"] = e[end]
+    elif fault in ("duplicate", "reversed_duplicate"):
+        a, b = (e["a"], e["b"]) if fault == "duplicate" else (e["b"], e["a"])
+        edges.insert(int(rng.integers(len(edges) + 1)), {"a": a, "b": b, "length": 1.5})
+    elif fault == "dropped_edge":
+        del edges[k]
+    elif fault in ("bool_id", "float_id"):
+        e[end] = bool(rng.integers(2)) if fault == "bool_id" else e[end] + 0.5 * int(rng.integers(2))
+    elif fault == "missing_key":
+        del e[str(rng.choice(["a", "b", "length"]))]
+    else:
+        e["length"] = {"zero_length": 0.0, "negative_length": -float(rng.uniform(0.1, 9.0)),
+                       "nan_length": math.nan, "inf_length": math.inf,
+                       "minus_inf_length": -math.inf, "null_length": None}[fault]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(n=st.integers(1, 14), seed=st.integers(0, 2**32 - 1), complete=st.booleans(),
+       faults=st.lists(st.sampled_from(FAULTS), max_size=2))
+def test_columnar_parse_matches_per_edge_reference(n, seed, complete, faults):
+    # the whole-column checks raise what a per-edge walk raises, first fault
+    # first; a valid document assembles the edge-order Laplacian bit for bit
+    rng = np.random.default_rng(seed)
+    ids = sorted(int(i) for i in rng.choice(5 * n, size=n, replace=False) - n)
+    pairs = ([(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)] if complete
+             else [(a, b) for a, b, _ in random_connected_edges(  # trees half the time
+                 rng, n, extra_edge_prob=float(rng.choice([0.0, 0.3])))])
+    lengths = 10.0 ** rng.uniform(-3.0, 3.0, len(pairs))
+    d = doc(rng.permutation(ids).tolist(), [
+        (ids[b - 1], ids[a - 1], float(t)) if rng.random() < 0.5 else (ids[a - 1], ids[b - 1], float(t))
+        for (a, b), t in zip(pairs, lengths)])
+    for fault in faults:
+        if d["edges"]:
+            _inject(rng, d, fault)
+    want = _reference_edge_outcome(d)
+    try:
+        net = network_from_dict(d)
+    except (ParseError, ValidationError) as exc:
+        assert (type(exc), str(exc)) == want
+        return
+    assert want is None
+    assert [(e.a, e.b, e.length) for e in net.edges] == [
+        (e["a"], e["b"], float(e["length"])) for e in d["edges"]]
+    assert build_laplacian(net).matrix.tobytes() == _edge_order_laplacian(d).tobytes()
+
+
+def test_connectivity_check_stops_once_spanned():
+    # the first three edges span the four nodes, so the last three are never read
+    read = []
+
+    def column(values):
+        for value in values:
+            read.append(value)
+            yield value
+
+    a, b = (1, 2, 3, 1, 1, 2), (2, 3, 4, 3, 4, 4)
+    assert network._disconnected_node((1, 2, 3, 4), column(a), b) is None
+    assert read == [1, 2, 3]
+    assert network._disconnected_node((1, 2, 3, 4), a[:2], b[:2]) == 4
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
+def test_save_load_save_is_byte_identical(tmp_path, name):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    net = load_network(FIXTURES / name)
+    save_network(net, first)
+    save_network(load_network(first), second)
+    assert first.read_bytes() == second.read_bytes()
+    # the rows written from the columns are the node and edge rows
+    saved = network_to_dict(net)
+    assert saved["nodes"] == [dataclasses.asdict(nd) for nd in net.nodes]
+    assert saved["edges"] == [dataclasses.asdict(e) for e in net.edges]
+
+
+def test_edge_columns_must_have_one_length(fixtures_dir):
+    top = load_network(fixtures_dir / "path4.json").topology
+    with pytest.raises(ValidationError, match=r"^edges: 3 a ids, 2 b ids and 3 lengths$"):
+        dataclasses.replace(top, edge_b=top.edge_b[:2])

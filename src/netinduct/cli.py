@@ -51,28 +51,22 @@ def _json(doc: dict) -> str:
     """``doc`` as indented JSON text; every JSON document the CLI prints is made here."""
     try:
         return json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    except ValueError:
-        found = _non_finite(doc, "")
-        if found is None:
-            raise
-        raise NetinductError(f"{found[0]}: result is not a finite number, got {found[1]!r}") from None
+    except ValueError:  # a NaN or infinity, which JSON cannot hold
+        where, value = next((where, value) for where, value in _leaves(doc)
+                            if isinstance(value, float) and not math.isfinite(value))
+        raise NetinductError(f"{where}: result is not a finite number, got {value!r}") from None
 
 
-def _non_finite(value, where: str) -> tuple[str, float] | None:
-    """Key path and value of the first NaN or infinity in a JSON value, or None."""
-    if isinstance(value, float):
-        return None if math.isfinite(value) else (where, value)
+def _leaves(value, where: str = ""):
+    """(key path, value) of every scalar in a JSON value, in document order."""
     if isinstance(value, dict):
-        items = ((f"{where}.{key}" if where else str(key), item) for key, item in value.items())
+        for key, item in value.items():
+            yield from _leaves(item, f"{where}.{key}" if where else str(key))
     elif isinstance(value, list):
-        items = ((f"{where}[{k}]", item) for k, item in enumerate(value))
+        for k, item in enumerate(value):
+            yield from _leaves(item, f"{where}[{k}]")
     else:
-        return None
-    for path, item in items:
-        found = _non_finite(item, path)
-        if found is not None:
-            return found
-    return None
+        yield where, value
 
 
 def _report_dict(rep: measures.MeasureReport) -> dict:

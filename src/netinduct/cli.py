@@ -19,8 +19,7 @@ import sys
 import numpy as np
 
 from . import allocate, kron, measures, simulate
-from .errors import NetinductError, ParseError, SpectralMismatchError, \
-    ValidationError
+from .errors import NetinductError, ParseError, ValidationError
 from .network import PowerNetwork, build_laplacian, load_network
 from .spectra import algebraic_connectivity, eig_symmetric
 
@@ -119,21 +118,15 @@ def cmd_kron(args) -> int:
     return 0
 
 
-def _worst_case_i0(net: PowerNetwork, dyn: measures.AugmentedDynamics,
+def _worst_case_i0(dyn: measures.AugmentedDynamics,
                    rep: measures.MeasureReport) -> np.ndarray:
-    """Eigenvector of L^-1 R whose rate is closest to the guaranteed 1/psi.
+    """The mode (a column of S G, so in 1-perp) whose rate is closest to 1/psi.
 
-    Taken from the decomposition the trajectory reuses, so a simulate run
-    eigendecomposes the dynamics once.
+    Taken from the decomposition the trajectory reuses.
     """
     dec = dyn.decomposition
-    k = int(np.argmin(np.abs(dec.vals - 1.0 / rep.psi_nir)))
-    v = np.real(dec.vecs[:, k])
-    v = v - v.sum() / v.size
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
-        raise SpectralMismatchError("worst-case eigenvector collapsed onto the ones vector")
-    return v / nrm
+    v = dec.vecs[:, int(np.argmin(np.abs(dec.vals - 1.0 / rep.psi_nir)))]
+    return v / np.linalg.norm(v)
 
 
 def cmd_simulate(args) -> int:
@@ -144,13 +137,16 @@ def cmd_simulate(args) -> int:
     if args.points < 2:
         raise ValidationError(f"--points: must be >= 2, got {args.points}")
     rep = measures.measure_report(net)
+    tmax = 8.0 * rep.psi_nir if args.tmax is None else args.tmax
+    if not 0.0 < tmax < math.inf:  # only the default horizon can fail here
+        raise NetinductError(f"psi_nir: the default horizon 8 * psi_nir must be a finite "
+                             f"number > 0, got {tmax!r}; pass --tmax")
     dyn = measures.assemble_dynamics(net)
     if args.worst_case:
-        i0 = _worst_case_i0(net, dyn, rep)
+        i0 = _worst_case_i0(dyn, rep)
     else:
         i0 = np.zeros(net.n)
         i0[0], i0[-1] = 1.0, -1.0
-    tmax = 8.0 * rep.psi_nir if args.tmax is None else args.tmax
     grid = np.linspace(0.0, tmax, args.points)
     traj = simulate.homogeneous_solution(dyn, i0, grid)
     verdict = simulate.verify_envelopes(traj, rep)
@@ -164,7 +160,7 @@ def cmd_simulate(args) -> int:
         "upper_envelope_ok": verdict.upper_ok,
         "min_lower_slack": float(np.min(verdict.lower_slack)),
         "min_upper_slack": float(np.min(verdict.upper_slack)),
-        "route": traj.route,
+        "route": "modes",  # the only route; the key stays so that stdout keeps its keys
     }
     sys.stdout.write(_json(report))
     return 0

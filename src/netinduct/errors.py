@@ -16,9 +16,8 @@ class ValidationError(NetinductError):
 class SpectralMismatchError(NetinductError):
     """A spectral precondition fails.
 
-    Raised for a non-symmetric input to a symmetric solver, a spectrum that is
-    not Laplacian-like (smallest eigenvalue not zero) or a worst-case vector
-    that collapses onto the ones vector.
+    Raised for a non-symmetric input to a symmetric solver or a spectrum that
+    is not Laplacian-like (smallest eigenvalue not zero).
     """
 
 

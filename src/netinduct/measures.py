@@ -1,4 +1,4 @@
-"""Network inductivity/resistivity ratios.
+"""Network inductivity/resistivity ratios and the dynamics they measure.
 
 The homogeneous current dynamics of a network with output impedances is
 R I + L dI/dt = Lap V_o.  The inductivity ratio is the reciprocal of the
@@ -21,6 +21,12 @@ with applications to electrical networks", IEEE TCAS-I 2013):
   L^ = l I + S^T D_l S, both symmetric positive definite, so rho is a
   generalized eigenvalue of an SPD pencil: real and > 0.
 * L is nonsingular: its spectrum is {l} together with spec(L^), all >= l.
+
+Trajectories use the same identity, L S = S L^ and R S = S R^ (Golub & Van
+Loan, Matrix Computations, sec. 8.7).  With S = P C the Laplacian record's
+lift, I0 in 1-perp is S x with C x = I0[1:]; with L^ = K K^T and
+K^-1 R^ K^-T = W diag(rho) W^T, G = K^-T W is L^-orthonormal and
+I(t) = S G e^{-rho t} alpha with alpha = G^T L^ x, all in real arithmetic.
 """
 
 from __future__ import annotations
@@ -31,53 +37,52 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SingularMatrixError
 from .network import UNIFORM_RTOL, PowerNetwork, WeightedLaplacian, build_laplacian
 from .spectra import eig_product
-
-_DIAG_COND_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
 class ModalDecomposition:
-    """Eigendecomposition of A = L^{-1}R and the propagation route it allows."""
+    """Decay modes of a network's currents on 1-perp, from the pencil (R^, L^)."""
 
-    a_matrix: np.ndarray  # L^{-1} R
-    vals: np.ndarray  # decay rates; a real array when the whole spectrum is real
-    vecs: np.ndarray  # right eigenvectors as columns, real alongside real vals
-    route: str  # "modes" (well-conditioned eigenbasis) | "expm"
+    vals: np.ndarray  # decay rates rho, ascending, real and > 0
+    vecs: np.ndarray  # S G: column k is the current of the mode decaying at vals[k]
+    project: np.ndarray  # G^T L^: alpha = project @ x for an initial current S x
 
 
 @dataclass(frozen=True)
 class AugmentedDynamics:
-    """R and L matrices of the current dynamics R I + L dI/dt = 0.
+    """R I + L dI/dt = 0 with R = r I + Lap D_r and L = l I + Lap D_l.
 
-    The matrices are treated as immutable once a trajectory has used them:
-    the first use caches their modal decomposition on the instance.
+    Trajectories read ``decomposition``, computed once, and the lift; R and
+    L themselves are built only when read.
     """
 
-    r_matrix: np.ndarray
-    l_matrix: np.ndarray
+    network: PowerNetwork
+
+    @property
+    def r_matrix(self) -> np.ndarray:
+        net = self.network
+        return net.r_per_len * np.eye(net.n) + build_laplacian(net).matrix * net.r_out_vector()
+
+    @property
+    def l_matrix(self) -> np.ndarray:
+        net = self.network
+        return net.l_per_len * np.eye(net.n) + build_laplacian(net).matrix * net.l_out_vector()
 
     @cached_property
     def decomposition(self) -> ModalDecomposition:
-        """L^{-1}R with its eigenpairs, computed once per instance.
-
-        Raises SingularMatrixError (on every access, since nothing is cached
-        then) when L is numerically singular.  The route is "modes" when the
-        eigenvector matrix is well conditioned and reproduces A to 1e-10
-        relative, otherwise "expm" (not diagonalizable in double precision).
-        """
-        if np.linalg.cond(self.l_matrix) > 1e14:
-            raise SingularMatrixError("L matrix of the dynamics is singular")
-        A = np.linalg.solve(self.l_matrix, self.r_matrix)
-        vals, V = np.linalg.eig(A)
-        route = "expm"
-        if np.linalg.cond(V) < _DIAG_COND_LIMIT:
-            resid = np.linalg.norm(A @ V - V * vals) / max(np.linalg.norm(A), 1e-300)
-            if resid < 1e-10:
-                route = "modes"
-        return ModalDecomposition(A, vals, V, route)
+        """Rates and modes of the SPD pencil (R^, L^), computed once per instance."""
+        net = self.network
+        S = build_laplacian(net).lift
+        eye = np.eye(net.n - 1)
+        r_hat = net.r_per_len * eye + (S.T * net.r_out_vector()) @ S
+        l_hat = net.l_per_len * eye + (S.T * net.l_out_vector()) @ S
+        # over 12 decades of lengths, the factor's inverse tracks expm closer than solves
+        k_inv = np.linalg.inv(np.linalg.cholesky(l_hat))
+        rates, W = np.linalg.eigh(k_inv @ r_hat @ k_inv.T)
+        G = k_inv.T @ W  # G^T L^ G = I
+        return ModalDecomposition(rates, S @ G, G.T @ l_hat)
 
 
 @dataclass(frozen=True)
@@ -91,11 +96,8 @@ class MeasureReport:
 
 
 def assemble_dynamics(net: PowerNetwork) -> AugmentedDynamics:
-    """R = r I + Lap D_r and L = l I + Lap D_l, with D_r, D_l the output diagonals."""
-    lap = build_laplacian(net).matrix
-    eye = np.eye(net.n)
-    return AugmentedDynamics(net.r_per_len * eye + lap * net.r_out_vector(),
-                             net.l_per_len * eye + lap * net.l_out_vector())
+    """The dynamics of ``net``; nothing is computed until a trajectory needs it."""
+    return AugmentedDynamics(net)
 
 
 def _rate(lam: float, r_o: float, r: float, l_o: float, l: float) -> float:

@@ -229,6 +229,9 @@ def _validate_topology(top: Topology) -> None:
         raise ValidationError("nodes: duplicate node ids")
     if list(ids) != sorted(ids):
         raise ValidationError("nodes must be sorted by id (use load_network/network_from_dict)")
+    for i in (ids[0], ids[-1]):  # the extremes, as the ids are sorted
+        if not -2**63 <= i < 2**63:
+            raise ValidationError(f"nodes: id {i} is outside the 64-bit range [-2**63, 2**63)")
     for i, role in enumerate(top.roles):
         if role not in ROLES:
             raise ValidationError(f"nodes[{i}].role: {role!r} not in {ROLES}")
@@ -454,10 +457,10 @@ class PairColumns(NamedTuple):
 class WeightedLaplacian:
     """L = B diag(gamma) B^T with gamma_k = 1/tau_k (inverse line lengths).
 
-    Treated as immutable: the eigendecomposition and the pair columns are
-    computed on first use and kept, with read-only arrays.  The records
-    ``build_laplacian`` returns are shared by every consumer of a topology,
-    so their own arrays are read-only as well.
+    Treated as immutable: the eigendecomposition, the lift and the pair
+    columns are computed on first use and kept, with read-only arrays.  The
+    records ``build_laplacian`` returns are shared by every consumer of a
+    topology, so their own arrays are read-only as well.
     """
 
     matrix: np.ndarray  # n x n symmetric PSD
@@ -473,6 +476,15 @@ class WeightedLaplacian:
         spec.eigenvalues.flags.writeable = False
         spec.eigenvectors.flags.writeable = False
         return spec
+
+    @cached_property
+    def lift(self) -> np.ndarray:
+        """S = P C with S S^T = ``matrix``: C is the lower Cholesky factor of
+        ``matrix[1:, 1:]`` and P = [-1^T; I] adds the ground row, so ``lift[1:]`` is C."""
+        C = np.linalg.cholesky(self.matrix[1:, 1:])
+        S = np.vstack((-C.sum(axis=0), C))
+        S.flags.writeable = False
+        return S
 
     @cached_property
     def pairs(self) -> PairColumns:

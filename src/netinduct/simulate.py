@@ -1,8 +1,9 @@
 """Homogeneous current trajectories and empirical envelope checks.
 
-Every trajectory of one ``AugmentedDynamics`` reuses its modal
-decomposition, computed once on first use; when the spectrum is real the
-modal propagation runs in real arithmetic.
+Trajectories run in real arithmetic through the SPD pencil (R^, L^):
+I(t) = S G e^{-rho t} G^T L^ x with C x = I0[1:] and S = P C the lift; the
+``measures`` docstring derives this and proves every rate real and > 0.
+All trajectories of one ``AugmentedDynamics`` share its rates and modes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from typing import IO
 
 import numpy as np
 
-from .measures import AugmentedDynamics, MeasureReport, ModalDecomposition
+from .measures import AugmentedDynamics, MeasureReport
+from .network import build_laplacian
 
 ENVELOPE_SLACK = 1e-9  # multiplicative round-off allowance at t = 0
 # below this ||I|| the squares summed by np.linalg.norm are subnormal or 0
@@ -30,7 +32,6 @@ class Trajectory:
     currents: np.ndarray  # n x T
     i0: np.ndarray
     norms: np.ndarray  # ||I(t)|| per sample
-    route: str  # "modes" (eigenmode expansion) | "expm" (matrix exponential)
 
 
 @dataclass(frozen=True)
@@ -57,11 +58,8 @@ def homogeneous_solution(dyn: AugmentedDynamics, i0: np.ndarray,
     """I(t) = exp(-L^{-1}R t) I0 on the given grid.
 
     I0 is projected onto the zero-sum subspace if it violates current
-    conservation beyond round-off.  L^{-1}R is eigendecomposed once per
-    ``dyn`` (``dyn.decomposition``) and shared by every call on it.  A
-    well-conditioned eigenbasis expands I0 in modes, in real arithmetic when
-    the spectrum is real; otherwise a matrix exponential is taken per grid
-    point.  ``Trajectory.route`` names the route taken.
+    conservation beyond round-off.  Each call solves C x = I0[1:] and
+    expands x in the modes of ``dyn.decomposition``, computed once per ``dyn``.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t[0] != 0.0 or np.any(np.diff(t) <= 0):
@@ -75,26 +73,14 @@ def homogeneous_solution(dyn: AugmentedDynamics, i0: np.ndarray,
         i0 = i0 - i0.sum() / n
 
     dec = dyn.decomposition
-    currents = _propagate(dec, i0, t)
+    # a solve per call, not a cached inverse, for accuracy
+    x = np.linalg.solve(build_laplacian(dyn.network).lift[1:], i0[1:])
+    alpha = dec.project @ x
+    currents = dec.vecs @ (np.exp(-np.outer(dec.vals, t)) * alpha[:, None])
     norms = np.linalg.norm(currents, axis=0)
     low = norms < _NORM_FLOOR
     norms[low] = np.hypot.reduce(currents[:, low], axis=0)  # no squares to underflow
-    return Trajectory(t, currents, i0, norms, dec.route)
-
-
-def _propagate(dec: ModalDecomposition, i0: np.ndarray, t: np.ndarray) -> np.ndarray:
-    if dec.route == "modes":
-        # a solve per call, not a cached inverse, for accuracy; with a real
-        # eigenbasis the expansion stays real and .real is a no-op
-        alpha = np.linalg.solve(dec.vecs, i0)
-        return (dec.vecs @ (np.exp(-np.outer(dec.vals, t)) * alpha[:, None])).real
-    # imported here so that loading the package does not load scipy
-    from scipy.linalg import expm  # scaling-and-squaring Pade
-
-    cols = [i0]
-    for k in range(1, t.size):
-        cols.append(expm(-dec.a_matrix * t[k]) @ i0)
-    return np.column_stack(cols)
+    return Trajectory(t, currents, i0, norms)
 
 
 def verify_envelopes(traj: Trajectory, report: MeasureReport) -> EnvelopeVerdict:

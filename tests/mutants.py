@@ -36,6 +36,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 PROPERTY = "tests/test_network.py::test_columnar_parse_matches_per_edge_reference"
+EXPM_PROPERTY = "tests/test_simulate.py::test_cached_modes_match_matrix_exponential"
+GOLDEN = "tests/test_golden.py::test_cli_matches_golden"
 
 
 class Mutant(NamedTuple):
@@ -66,6 +68,21 @@ MUTANTS = (
            "allow_nan=False", "allow_nan=True",
            ("tests/test_cli.py::test_infinite_resistivity_ratio_is_numerical_error",
             "tests/test_cli.py::test_infinite_allocation_is_numerical_error")),
+    Mutant("id_range_bound", "netinduct/network.py",
+           "i < 2**63", "i <= 2**63",
+           ("tests/test_network.py::test_node_ids_must_fit_int64",)),
+    Mutant("lift_ground_row", "netinduct/network.py",
+           "np.vstack((-C.sum(axis=0), C))", "np.vstack((np.zeros(C.shape[1]), C))",
+           (f"{GOLDEN}[path4.simulate]",
+            "tests/test_network.py::test_lift_factors_the_laplacian")),
+    Mutant("alpha_without_l_hat", "netinduct/measures.py",
+           "S @ G, G.T @ l_hat)", "S @ G, G.T)",
+           (f"{GOLDEN}[ieee13_50hz.simulate]", EXPM_PROPERTY)),
+    Mutant("worst_case_argmax", "netinduct/cli.py",
+           "np.argmin(np.abs(dec.vals - 1.0 / rep.psi_nir))",
+           "np.argmax(np.abs(dec.vals - 1.0 / rep.psi_nir))",
+           (f"{GOLDEN}[ring5_lout.simulate-worst-case]",
+            f"{GOLDEN}[feeder6_partial_lout.simulate-worst-case]")),
 )
 
 

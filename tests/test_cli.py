@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,9 +136,11 @@ def test_simulate_reports_route(capsys, name):
 # numpy.linalg calls and Laplacian assemblies per golden command on complete4;
 # a change that moves a count says why.  One Laplacian record per network
 # serves every command: its eigh is shared by the measures, the phasor
-# guard and every step of a sweep, and simulate --worst-case reuses the
-# trajectory's eig.  Every command validates the topology once: the copies
-# that overrides and sweep steps make validate their outputs only.  complete4
+# guard and every step of a sweep.  simulate adds the pencil: the lift's
+# Cholesky, the Cholesky of L^, the inverse of its factor and one eigh,
+# then one triangular solve per trajectory; --worst-case reuses the modes.
+# Every command validates the topology once: the copies that overrides and
+# sweep steps make validate their outputs only.  complete4
 # is optimal at the uniform split, so optimize takes no Newton step here; the
 # landscape solves its whole grid in one stacked eigvalsh.
 LINALG_COUNTS = {
@@ -144,8 +149,8 @@ LINALG_COUNTS = {
     "analyze-ro": {"laplacian": 1, "eigh": 1},
     "kron": {"laplacian": 1, "eigh": 1},
     "kron-phasor": {"laplacian": 1, "eigh": 1, "solve": 1},
-    "simulate": {"laplacian": 1, "eigh": 1, "eig": 1, "cond": 2, "solve": 2},
-    "simulate-worst-case": {"laplacian": 1, "eigh": 1, "eig": 1, "cond": 2, "solve": 2},
+    "simulate": {"laplacian": 1, "eigh": 2, "cholesky": 2, "inv": 1, "solve": 1},
+    "simulate-worst-case": {"laplacian": 1, "eigh": 2, "cholesky": 2, "inv": 1, "solve": 1},
     "optimize-budget": {"laplacian": 1, "eigh": 2, "eigvalsh": 1},
     "optimize-target-theta": {"laplacian": 1, "eigh": 2, "eigvalsh": 1},
     "landscape": {"laplacian": 1, "eigh": 1, "eigvalsh": 1},
@@ -176,6 +181,60 @@ def test_linalg_calls_per_newton_step(capsys, count_linalg):
     want = dict.fromkeys(LINALG_CALLS, 0) | {"laplacian": 1, "topology": 1, "eigh": passes + 2,
                                              "eigvalsh": 2 * passes + 1, "solve": 2 * passes}
     assert {name: count_linalg[name] for name in want} == want
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    # scipy is needed by the tests only: with its import blocked, each golden
+    # command line runs on complete4 and exits 0
+    fixture = FIXTURES / "complete4.json"
+    doc = json.loads(fixture.read_text())
+    argvs = []
+    for label, command in COMMANDS.items():
+        args = [str(tmp_path / f"{label}.csv") if a == CSV else a for a in command(doc)]
+        argvs.append([args[0], str(fixture), *args[1:]])
+    assert {argv[0] for argv in argvs} == {"analyze", "kron", "simulate", "optimize",
+                                           "landscape", "sweep"}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import contextlib, io, json, sys, warnings\n"
+            "sys.modules['scipy'] = None\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "from netinduct.cli import main\n"
+            "warnings.simplefilter('ignore')\n"
+            "codes = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        codes.append(main(argv))\n"
+            "print(json.dumps(codes))\n")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                         capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == [0] * len(argvs)
+
+
+def test_simulate_zero_default_horizon_is_numerical_error(capsys):
+    # r_o = 1e308 makes psi_nir 0.0, so the default horizon 8 * psi_nir is 0
+    code, out, err = run(capsys, "simulate", FIXTURES / "complete4.json", "--ro", "1e308")
+    assert code == 3 and out == ""
+    assert err.startswith("error: psi_nir: ")
+
+
+def test_simulate_large_uniform_output_keeps_envelopes(capsys):
+    # on a uniform complete graph every zero-sum mode decays at 1/psi_nir, so
+    # the trajectory is e^{-t/psi} I0 and rides both envelopes
+    code, out, _ = run(capsys, "simulate", FIXTURES / "complete4.json", "--lo", "1e6")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["lower_envelope_ok"] and rep["upper_envelope_ok"]
+
+
+def test_node_id_beyond_int64_is_input_error(capsys, tmp_path):
+    big = 2**63 + 5
+    path = tmp_path / "path4.json"
+    path.write_text((FIXTURES / "path4.json").read_text()
+                    .replace('"id": 4', f'"id": {big}').replace('"b": 4', f'"b": {big}'))
+    assert str(big) in path.read_text()
+    code, out, err = run(capsys, "kron", path, "--phasor", "--lo", "1e-3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: nodes: id 9223372036854775813 ")
 
 
 def test_simulate_csv_output(capsys, tmp_path):

@@ -293,6 +293,43 @@ def test_non_integer_ids_rejected(bad):
         network_from_dict(edges)
 
 
+@pytest.mark.parametrize("ids, bad", [([-2**63, 2**63 - 1], None), ([1, 2**63], 2**63),
+                                      ([-2**63 - 1, 1], -2**63 - 1), ([2**64, 2**65], 2**64)],
+                         ids=["extremes", "2**63", "-2**63-1", "both"])
+def test_node_ids_must_fit_int64(ids, bad):
+    d = doc(ids, [tuple(ids) + (1.0,)])
+    if bad is None:
+        assert network_from_dict(d).node_ids() == tuple(ids)
+        return
+    with pytest.raises(ValidationError, match=rf"^nodes: id {bad} is outside"):
+        network_from_dict(d)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1), tree=st.booleans())
+def test_lift_factors_the_laplacian(n, seed, tree):
+    # S = P C: the ground row over the lower Cholesky factor of Lap[1:, 1:],
+    # with lengths over 12 decades
+    rng = np.random.default_rng(seed)
+    edges = [(a, b, float(10.0 ** rng.uniform(-6.0, 6.0)))
+             for a, b, _ in random_connected_edges(rng, n, 0.0 if tree else 0.3)]
+    lap = build_laplacian(make_network(edges))
+    S = lap.lift
+    assert S.shape == (n, n - 1)
+    assert np.array_equal(S[1:], np.tril(S[1:])) and np.all(np.diag(S[1:]) > 0.0)
+    scale = np.max(np.abs(lap.matrix))
+    assert np.max(np.abs(S @ S.T - lap.matrix)) <= 1e-14 * scale
+    assert np.max(np.abs(S.sum(axis=0))) <= 1e-14 * np.max(np.abs(S))
+
+
+def test_lift_is_built_once_and_read_only(fixtures_dir):
+    net = load_network(fixtures_dir / "ieee13_50hz.json")
+    S = build_laplacian(net).lift
+    assert build_laplacian(net.with_outputs(l_out=1e-3)).lift is S
+    with pytest.raises(ValueError, match="read-only"):
+        S[0, 0] = 1.0
+
+
 # --- Columnar parse and validation ----------------------------------------
 
 def _reference_edge_outcome(doc):

@@ -4,8 +4,8 @@ from .allocate import (AllocationProblem, AllocationResult, allocation_landscape
                        design_nonuniform, design_uniform, optimize_allocation)
 from .errors import (NetinductError, ParseError, SingularMatrixError,
                      SpectralMismatchError, ValidationError)
-from .kron import (AngleTable, BranchRecord, ReducedAdmittance, ReducedLaplacian,
-                   angle_table_csv, kron_reduce_real, line_angles, phasor_reduce)
+from .kron import (AngleTable, BranchRecord, ReducedAdmittance, angle_table_csv,
+                   kron_reduce_real, line_angles, phasor_reduce)
 from .measures import (AugmentedDynamics, MeasureReport, assemble_dynamics,
                        measure_report, psi_nir_nonuniform, psi_nir_uniform)
 from .network import (EdgeSpec, NodeSpec, PowerNetwork, WeightedLaplacian,

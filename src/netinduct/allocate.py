@@ -2,10 +2,12 @@
 
 Uniform design inverts the closed-form angle target.  Non-uniform design
 maximizes the algebraic connectivity lam2(diag(d) L) over the budget
-simplex {d >= b, sum(d) = c}, a concave objective.  With one eigensolve
-L = U diag(lam) U^T and S = U[:, 1:] diag(lam[1:])^(1/2), a k x (k-1)
-matrix, lam2(diag(d) L) = lam_min(S^T diag(d) S), which is linear in d, so
-the design step is the small eigenvalue SDP
+simplex {d >= b, sum(d) = c}, a concave objective.  L is a Laplacian
+record, the network's own or its Kron reduction onto the sources, and its
+cached eigendecomposition L = U diag(lam) U^T gives
+S = U[:, 1:] diag(lam[1:])^(1/2), a k x (k-1) matrix, with
+lam2(diag(d) L) = lam_min(S^T diag(d) S), which is linear in d, so the
+design step is the small eigenvalue SDP
 
     maximize t  subject to  S^T diag(d) S >= t I,  d >= b,  1^T d = c.
 
@@ -36,7 +38,7 @@ import numpy as np
 from .errors import ValidationError
 from .kron import kron_reduce_real
 from .network import PowerNetwork, WeightedLaplacian, build_laplacian
-from .spectra import algebraic_connectivity, eig_product, eig_symmetric
+from .spectra import algebraic_connectivity, eig_product
 
 _GAP_TARGET = 1e-9  # certified relative duality gap at which the solver stops
 _MAX_STEPS = 60  # safety net: well-conditioned problems (k = 2..12) stop within 18 steps
@@ -44,19 +46,24 @@ _MAX_STEPS = 60  # safety net: well-conditioned problems (k = 2..12) stop within
 
 @dataclass(frozen=True)
 class AllocationProblem:
-    laplacian: WeightedLaplacian | np.ndarray
+    """``laplacian`` may be given as a matrix, which is copied into a read-only
+    record over the node ids 0..n-1."""
+
+    laplacian: WeightedLaplacian
     budget: float  # henry
     lower_bounds: np.ndarray | None = None
     r_per_len: float | None = None
     l_per_len: float | None = None
     omega: float | None = None
 
-    def matrix(self) -> np.ndarray:
-        L = self.laplacian
-        return L.matrix if isinstance(L, WeightedLaplacian) else np.asarray(L, dtype=float)
+    def __post_init__(self):
+        if not isinstance(self.laplacian, WeightedLaplacian):
+            L = np.array(self.laplacian, dtype=float)
+            L.flags.writeable = False
+            object.__setattr__(self, "laplacian", WeightedLaplacian(L, tuple(range(len(L)))))
 
     def bounds(self) -> np.ndarray:
-        n = self.matrix().shape[0]
+        n = len(self.laplacian.ids)
         if n < 2:
             raise ValidationError(f"laplacian: allocation needs at least 2 nodes, got {n}")
         b = np.zeros(n) if self.lower_bounds is None else np.asarray(self.lower_bounds, dtype=float)
@@ -82,9 +89,12 @@ class AllocationResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _lift(L: np.ndarray) -> tuple[np.ndarray, float]:
-    """S with S S^T = L, so lam2(diag(d) L) = lam_min(S^T diag(d) S); and lam2(L)."""
-    lam, U = np.linalg.eigh(L)
+def _lift(lap: WeightedLaplacian) -> tuple[np.ndarray, float]:
+    """S with S S^T = L, so lam2(diag(d) L) = lam_min(S^T diag(d) S); and lam2(L).
+
+    Read off the record's cached eigendecomposition.
+    """
+    lam, U = lap.spectrum.eigenvalues, lap.spectrum.eigenvectors
     if not lam[1] > 1e-12 * max(lam[-1], 1e-300):
         raise ValidationError("laplacian: lambda2 is zero, the network is disconnected")
     return U[:, 1:] * np.sqrt(np.clip(lam[1:], 0.0, None)), float(lam[1])
@@ -196,12 +206,12 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
     duality gap (``upper_bound`` - lam2) / ``upper_bound``, ``passes``
     (interior-point Newton steps) and ``starts`` (always 1).
     """
-    L = problem.matrix()
+    lap = problem.laplacian
     b = problem.bounds()
     c = problem.budget
     free = c - b.sum()
-    S, lam2_L = _lift(L)
-    k = L.shape[0]
+    S, lam2_L = _lift(lap)
+    k = len(lap.ids)
     if free <= 1e-12 * c:  # the simplex is the single point b
         best, steps = b, 0
         v = np.linalg.eigh((S.T * b) @ S)[1][:, 0]
@@ -212,7 +222,7 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
         best = b + spent * (free / spent.sum())
         upper = ub * c * lam2_L / k
 
-    lam2 = float(eig_product(best, L)[1])
+    lam2 = float(eig_product(best, lap.matrix)[1])
     psi = theta = None
     if problem.r_per_len is not None and problem.l_per_len is not None:
         psi = (lam2 + problem.l_per_len) / problem.r_per_len
@@ -232,15 +242,15 @@ def allocation_landscape(problem: AllocationProblem, resolution: int) -> np.ndar
     Rows are (k_1/resolution, ..., k_n/resolution, lam2); the allocation at
     a row is bounds + free_budget * coordinates.
     """
-    L = problem.matrix()
-    n = L.shape[0]
+    lap = problem.laplacian
+    n = len(lap.ids)
     if n > 6:
         raise ValidationError(f"landscape grid needs n <= 6 nodes, got {n}")
     if resolution < 1:
         raise ValidationError("resolution must be >= 1")
     b = problem.bounds()
     free = problem.budget - b.sum()
-    S, _ = _lift(L)
+    S, _ = _lift(lap)
 
     coords = np.array([np.diff((-1,) + combo + (resolution + n - 1,)) - 1
                        for combo in itertools.combinations(range(resolution + n - 1), n - 1)]
@@ -250,9 +260,10 @@ def allocation_landscape(problem: AllocationProblem, resolution: int) -> np.ndar
     return np.column_stack([coords, np.linalg.eigvalsh((S.T * d[:, None, :]) @ S)[:, 0]])
 
 
-def _reduced_matrix(net: PowerNetwork, sources=None) -> np.ndarray:
+def _laplacian(net: PowerNetwork, sources=None) -> WeightedLaplacian:
+    """The network's Laplacian record, or its Kron reduction onto ``sources``."""
     lap = build_laplacian(net)
-    return lap.matrix if sources is None else kron_reduce_real(lap, sources).matrix
+    return lap if sources is None else kron_reduce_real(lap, sources)
 
 
 def design_uniform(net: PowerNetwork, target_theta: float, sources=None,
@@ -263,7 +274,7 @@ def design_uniform(net: PowerNetwork, target_theta: float, sources=None,
     with lam2 taken from the (optionally Kron-reduced) Laplacian.
     """
     r, l, omega = net.r_per_len, net.l_per_len, net.omega
-    lam2 = algebraic_connectivity(eig_symmetric(_reduced_matrix(net, sources))).value
+    lam2 = algebraic_connectivity(_laplacian(net, sources).spectrum).value
     current = math.atan(omega * l / r)
     if not current <= target_theta < math.pi / 2:
         raise ValidationError(
@@ -280,13 +291,13 @@ def design_nonuniform(net: PowerNetwork, target_theta: float,
     the minimal budget follows in closed form from (lam2 + l)/r = tan(theta)/omega.
     """
     r, l, omega = net.r_per_len, net.l_per_len, net.omega
-    matrix = _reduced_matrix(net, sources)
+    lap = _laplacian(net, sources)
     current = math.atan(omega * l / r)
     if not current < target_theta < math.pi / 2:
         raise ValidationError(
             f"target theta {target_theta!r} not in ({current!r}, pi/2)")
 
-    unit = optimize_allocation(AllocationProblem(matrix, 1.0))
+    unit = optimize_allocation(AllocationProblem(lap, 1.0))
     lam2_hat = unit.lam2  # lam2 per unit budget along the optimal direction
     psi_target = math.tan(target_theta) / omega
     budget = (r * psi_target - l) / lam2_hat

@@ -21,7 +21,7 @@ import numpy as np
 from . import allocate, kron, measures, simulate
 from .errors import NetinductError, ParseError, ValidationError
 from .network import PowerNetwork, build_laplacian, load_network
-from .spectra import algebraic_connectivity, eig_symmetric
+from .spectra import algebraic_connectivity
 
 
 def _reject_unread(args, why: str, *flags: str) -> None:
@@ -109,7 +109,7 @@ def cmd_kron(args) -> int:
         return 0
     lap = build_laplacian(net)
     red = kron.kron_reduce_real(lap, _parse_sources(args.sources, net))
-    lam2 = algebraic_connectivity(eig_symmetric(red.matrix)).value
+    lam2 = algebraic_connectivity(red.spectrum).value
     _emit(_json({
         "node_ids": list(red.node_ids()),
         "laplacian": red.matrix.tolist(),
@@ -167,9 +167,7 @@ def cmd_simulate(args) -> int:
 
 
 def _problem(args, net: PowerNetwork, sources: list[int] | None) -> allocate.AllocationProblem:
-    lap = build_laplacian(net)
-    matrix = lap.matrix if sources is None else kron.kron_reduce_real(lap, sources).matrix
-    return allocate.AllocationProblem(matrix, args.budget,
+    return allocate.AllocationProblem(allocate._laplacian(net, sources), args.budget,
                                       r_per_len=net.r_per_len,
                                       l_per_len=net.l_per_len,
                                       omega=net.omega)

@@ -36,16 +36,6 @@ _CLASSES = np.array(["physical", "virtual", "absent"])  # indexed by class code
 
 
 @dataclass(frozen=True)
-class ReducedLaplacian:
-    matrix: np.ndarray  # over source nodes
-    node_map: dict[int, int]  # original node id -> reduced index
-    offset: np.ndarray | None  # -r * L_SL L_LL^{-1} I_L*, if load currents given
-
-    def node_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.node_map, key=self.node_map.get))
-
-
-@dataclass(frozen=True)
 class BranchRecord:
     i: int
     j: int
@@ -107,58 +97,43 @@ def _check_laplacian(L: np.ndarray, what: str, tol: float = 1e-9) -> None:
         raise ValidationError(f"{what}: positive off-diagonal entry")
 
 
-def kron_reduce_real(lap: WeightedLaplacian, sources: Sequence[int],
-                     load_currents: np.ndarray | None = None,
-                     r_per_len: float | None = None) -> ReducedLaplacian:
+def kron_reduce_real(lap: WeightedLaplacian, sources: Sequence[int]) -> WeightedLaplacian:
     """Schur complement of the load block: L_SS - L_SL L_LL^{-1} L_LS.
 
-    ``sources`` are node ids kept; all other nodes are eliminated.  When
-    ``load_currents`` (ordered like the eliminated nodes) and ``r_per_len``
-    are given, the constant offset term of the reduced dynamics is attached.
+    ``sources`` are node ids kept, in the order given (a repeated id is
+    dropped); all other nodes are eliminated.  The result is a read-only
+    Laplacian record over the sources, so its spectrum is computed once for
+    every consumer.  When every node is a source nothing is eliminated, and
+    the record holds ``lap.matrix`` permuted into the order of ``sources``.
     """
-    ids = lap.node_ids
+    ids = lap.ids
+    index = dict(zip(ids, range(len(ids))))
     src = list(dict.fromkeys(sources))
-    unknown = [s for s in src if s not in ids]
+    unknown = [s for s in src if s not in index]
     if unknown:
         raise ValidationError(f"sources: unknown node ids {unknown}")
     if len(src) < 2:
         raise ValidationError(
             f"sources: need at least 2 source nodes, got {src or 'an empty source set'}")
 
+    s_idx = [index[s] for s in src]
+    L = lap.matrix
     if len(src) == len(ids):
         warnings.warn("all nodes are sources; nothing to eliminate", RuntimeWarning,
                       stacklevel=2)
-        node_map = {nid: k for k, nid in enumerate(ids)}
-        return ReducedLaplacian(lap.matrix.copy(), node_map, None)
+        L_red = L[np.ix_(s_idx, s_idx)]
+    else:
+        l_idx = sorted(set(range(len(ids))).difference(s_idx))
+        L_ll = L[np.ix_(l_idx, l_idx)]
+        if np.linalg.cond(L_ll) > 1e14:
+            raise SingularMatrixError("load block L_LL is singular (disconnected load island)")
+        X = np.linalg.solve(L_ll, L[np.ix_(l_idx, s_idx)])
+        L_red = L[np.ix_(s_idx, s_idx)] - L[np.ix_(s_idx, l_idx)] @ X
+        L_red = 0.5 * (L_red + L_red.T)  # symmetrize round-off
+        _check_laplacian(L_red, "reduced Laplacian")
 
-    index = {nid: i for i, nid in enumerate(ids)}
-    s_idx = [index[s] for s in src]
-    l_idx = sorted(set(range(len(ids))).difference(s_idx))
-    L = lap.matrix
-    L_ss = L[np.ix_(s_idx, s_idx)]
-    L_sl = L[np.ix_(s_idx, l_idx)]
-    L_ll = L[np.ix_(l_idx, l_idx)]
-
-    if np.linalg.cond(L_ll) > 1e14:
-        raise SingularMatrixError("load block L_LL is singular (disconnected load island)")
-    X = np.linalg.solve(L_ll, L[np.ix_(l_idx, s_idx)])
-    L_red = L_ss - L_sl @ X
-    L_red = 0.5 * (L_red + L_red.T)  # symmetrize round-off
-
-    _check_laplacian(L_red, "reduced Laplacian")
-
-    offset = None
-    if load_currents is not None:
-        if r_per_len is None:
-            raise ValueError("r_per_len is required together with load_currents")
-        i_l = np.asarray(load_currents, dtype=float)
-        if i_l.shape != (len(l_idx),):
-            raise ValidationError(
-                f"load_currents: expected {len(l_idx)} entries, got {i_l.shape}")
-        offset = -r_per_len * (L_sl @ np.linalg.solve(L_ll, i_l))
-
-    node_map = {nid: k for k, nid in enumerate(src)}
-    return ReducedLaplacian(L_red, node_map, offset)
+    L_red.flags.writeable = False
+    return WeightedLaplacian(L_red, tuple(src))
 
 
 def phasor_reduce(net: PowerNetwork, l_out: float | None = None) -> ReducedAdmittance:
@@ -198,7 +173,7 @@ def phasor_reduce(net: PowerNetwork, l_out: float | None = None) -> ReducedAdmit
     M = eye + (y_l / y_o) * lap.matrix
     Minv = np.linalg.solve(M, eye)  # LU with partial pivoting
     Y = y_o * (eye - Minv)
-    return ReducedAdmittance(Y, lap.node_ids, y_l)
+    return ReducedAdmittance(Y, lap.ids, y_l)
 
 
 def line_angles(red: ReducedAdmittance, original: PowerNetwork) -> AngleTable:
@@ -213,7 +188,7 @@ def line_angles(red: ReducedAdmittance, original: PowerNetwork) -> AngleTable:
     weight 1/length is > 0).
     """
     lap = build_laplacian(original)
-    if red.node_ids != lap.node_ids:
+    if red.node_ids != lap.ids:
         raise ValueError("line_angles: reduction and network have different nodes")
     pairs = lap.pairs
     adm = -red.matrix[pairs.a, pairs.b]

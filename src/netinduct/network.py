@@ -29,14 +29,12 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-
-if TYPE_CHECKING:
-    from .spectra import Spectrum
+from .spectra import Spectrum, eig_symmetric
 
 ROLES = ("source", "load")
 UNIFORM_RTOL = 1e-12  # relative spread below which per-node outputs count as uniform
@@ -455,8 +453,11 @@ class PairColumns(NamedTuple):
 
 @dataclass(frozen=True)
 class WeightedLaplacian:
-    """L = B diag(gamma) B^T with gamma_k = 1/tau_k (inverse line lengths).
+    """A connected Laplacian over the nodes ``ids``: row/column ``k`` is node ``ids[k]``.
 
+    A network's is L = B diag(gamma) B^T with gamma_k = 1/tau_k (inverse
+    line lengths); ``kron_reduce_real`` returns the same record over the
+    sources it keeps, since a Kron-reduced connected Laplacian is again one.
     Treated as immutable: the eigendecomposition, the lift and the pair
     columns are computed on first use and kept, with read-only arrays.  The
     records ``build_laplacian`` returns are shared by every consumer of a
@@ -464,14 +465,14 @@ class WeightedLaplacian:
     """
 
     matrix: np.ndarray  # n x n symmetric PSD
-    weights: np.ndarray  # gamma, length m
-    node_ids: tuple[int, ...]
+    ids: tuple[int, ...]
+
+    def node_ids(self) -> tuple[int, ...]:
+        return self.ids
 
     @cached_property
-    def spectrum(self) -> "Spectrum":
+    def spectrum(self) -> Spectrum:
         """Ascending eigenvalues and orthonormal eigenvectors of ``matrix``."""
-        from .spectra import eig_symmetric  # spectra imports this module
-
         spec = eig_symmetric(self.matrix)
         spec.eigenvalues.flags.writeable = False
         spec.eigenvectors.flags.writeable = False
@@ -488,8 +489,8 @@ class WeightedLaplacian:
 
     @cached_property
     def pairs(self) -> PairColumns:
-        a, b = np.triu_indices(len(self.node_ids), 1)
-        ids = np.array(self.node_ids)
+        a, b = np.triu_indices(len(self.ids), 1)
+        ids = np.array(self.ids)
         cols = PairColumns(a, b, ids[a], ids[b], self.matrix[a, b] != 0.0)
         for col in cols:
             col.flags.writeable = False
@@ -522,5 +523,4 @@ def _assemble_laplacian(top: Topology) -> WeightedLaplacian:
     L[a, b] = L[b, a] = -gamma
     np.add.at(L.reshape(-1), np.concatenate((a, b)) * (n + 1), np.concatenate((gamma, gamma)))
     L.flags.writeable = False
-    gamma.flags.writeable = False
-    return WeightedLaplacian(L, gamma, top.ids)
+    return WeightedLaplacian(L, top.ids)

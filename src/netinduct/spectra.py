@@ -14,7 +14,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SpectralMismatchError
-from .network import WeightedLaplacian
 
 _ZERO_RTOL = 1e-8  # smallest eigenvalue of a Laplacian, relative to max(|eigenvalue|, 1)
 
@@ -47,23 +46,19 @@ def eig_symmetric(A: np.ndarray) -> Spectrum:
     return Spectrum(vals, vecs)
 
 
-def _lap_matrix(L: WeightedLaplacian | np.ndarray) -> np.ndarray:
-    return L.matrix if isinstance(L, WeightedLaplacian) else np.asarray(L, dtype=float)
-
-
-def eig_product(D: np.ndarray, L: WeightedLaplacian | np.ndarray) -> np.ndarray:
+def eig_product(D: np.ndarray, L: np.ndarray) -> np.ndarray:
     """Real spectrum of diag(D)*L for a nonnegative vector D, ascending.
 
     Computed as the spectrum of the symmetric matrix D^{1/2} L D^{1/2}.
     """
-    Lm = _lap_matrix(L)
+    L = np.asarray(L, dtype=float)
     d = np.asarray(D, dtype=float)
     if np.any(d < 0):
         raise ValueError("diagonal entries must be nonnegative")
 
-    _check_symmetric(Lm)
+    _check_symmetric(L)
     sq_d = np.sqrt(d)
-    return np.linalg.eigvalsh(sq_d[:, None] * Lm * sq_d[None, :])
+    return np.linalg.eigvalsh(sq_d[:, None] * L * sq_d[None, :])
 
 
 def algebraic_connectivity(s: Spectrum) -> Connectivity:

@@ -83,6 +83,15 @@ MUTANTS = (
            "np.argmax(np.abs(dec.vals - 1.0 / rep.psi_nir))",
            (f"{GOLDEN}[ring5_lout.simulate-worst-case]",
             f"{GOLDEN}[feeder6_partial_lout.simulate-worst-case]")),
+    Mutant("all_sources_id_order", "netinduct/kron.py",
+           "        L_red = L[np.ix_(s_idx, s_idx)]\n", "        L_red, src = L.copy(), ids\n",
+           ("tests/test_kron.py::test_all_sources_is_identity_reduction",
+            "tests/test_cli.py::test_optimize_labels_reordered_sources",
+            "tests/test_cli.py::test_kron_keeps_reordered_sources",
+            "tests/test_cli.py::test_landscape_labels_reordered_sources")),
+    Mutant("reduced_matrix_writable", "netinduct/kron.py",
+           "    L_red.flags.writeable = False\n", "",
+           ("tests/test_network.py::test_laplacian_record_is_shared_and_read_only",)),
 )
 
 

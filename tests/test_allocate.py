@@ -66,7 +66,7 @@ def test_lower_bounds_respected(fixtures_dir):
     assert np.all(res.allocation >= bounds - 1e-15)
     assert res.allocation.sum() == pytest.approx(5e-3, rel=1e-12)
     # eigenvalue sandwich for diagonal scalings
-    lam2_L = eig_symmetric(_star_problem(fixtures_dir).matrix()).eigenvalues[1]
+    lam2_L = eig_symmetric(_star_problem(fixtures_dir).laplacian.matrix).eigenvalues[1]
     assert res.lam2 <= lam2_L * res.allocation.max() + 1e-15
     # constrained optimum can never beat the unconstrained one
     free = optimize_allocation(_star_problem(fixtures_dir))
@@ -99,6 +99,21 @@ def test_problem_validation(fixtures_dir):
     with pytest.raises(ValidationError, match="expected 4"):
         optimize_allocation(_star_problem(
             fixtures_dir, lower_bounds=np.zeros(3)))
+
+
+def test_problem_wraps_a_matrix_in_a_record(fixtures_dir):
+    # a bare matrix is copied once into a read-only record over ids 0..n-1,
+    # and solves exactly as the network's own record does
+    lap = build_laplacian(load_network(fixtures_dir / "star.json"))
+    L = np.array(lap.matrix)
+    prob = AllocationProblem(L, 5e-3)
+    assert prob.laplacian.node_ids() == (0, 1, 2, 3)
+    L[0, 0] = 0.0
+    assert np.array_equal(prob.laplacian.matrix, lap.matrix)
+    with pytest.raises(ValueError, match="read-only"):
+        prob.laplacian.matrix[0, 0] = 1.0
+    own = optimize_allocation(AllocationProblem(lap, 5e-3))
+    assert np.array_equal(optimize_allocation(prob).allocation, own.allocation)
 
 
 def test_single_node_rejected():
@@ -183,6 +198,27 @@ def test_allocation_beats_landscape_grid(problem):
     res = optimize_allocation(prob)
     grid_best = allocation_landscape(prob, resolution=20)[:, -1].max()
     assert res.lam2 >= grid_best * (1 - res.diagnostics["gap"]) - 1e-15 * grid_best
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(k=st.integers(3, 40), seed=st.integers(0, 2**32 - 1), log_lengths=st.booleans(),
+       budget=st.floats(1e-6, 1.0))
+def test_star_allocation_meets_closed_form(k, seed, log_lengths, budget):
+    # an exact oracle at every size: on a star, lam2(diag(d) L) = min_i d_i / tau_i
+    # over the leaves once the centre holds nothing, so the optimum spends the
+    # budget in proportion to the leaf lengths, lam2* = c / sum(tau), and the
+    # centre's share is 0; lengths uniform over one decade or log-uniform over six
+    rng = np.random.default_rng(seed)
+    tau = 10.0 ** rng.uniform(-3.0, 3.0, k) if log_lengths else rng.uniform(0.2, 2.0, k)
+    net = make_network([(0, i + 1, float(t)) for i, t in enumerate(tau)])
+    res = optimize_allocation(AllocationProblem(build_laplacian(net), budget))
+    lam2_star = budget / tau.sum()
+    eps = np.finfo(float).eps
+    gap, upper = res.diagnostics["gap"], res.diagnostics["upper_bound"]
+    assert lam2_star - gap * upper <= res.lam2 <= lam2_star * (1 + 4 * eps)
+    assert upper >= lam2_star * (1 - 4 * eps)
+    expect = budget * np.concatenate(([0.0], tau)) / tau.sum()  # node 0 is the centre
+    assert np.max(np.abs(res.allocation - expect)) <= 1e-8 * budget
 
 
 # --- landscape ----------------------------------------------------------------

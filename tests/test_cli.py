@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import subprocess
@@ -117,6 +119,60 @@ def test_repeated_sources_are_dropped(capsys, command):
     assert got == want
 
 
+# sources that name every node, listed in reverse: nothing is eliminated, and
+# each output must still be labelled by the order requested
+FEEDER6 = FIXTURES / "feeder6_partial_lout.json"
+SORTED6, REVERSED6 = "1,2,3,4,5,6", "6,5,4,3,2,1"
+
+
+@pytest.mark.filterwarnings("ignore:all nodes are sources")
+@pytest.mark.parametrize("option", [("--budget", "5e-3"), ("--target-theta", "1.2")],
+                         ids=["budget", "target-theta"])
+def test_optimize_labels_reordered_sources(capsys, option):
+    reps = []
+    for sources in (SORTED6, REVERSED6):
+        code, out, _ = run(capsys, "optimize", FEEDER6, *option, "--sources", sources)
+        assert code == 0
+        reps.append(json.loads(out))
+    assert list(reps[1]["allocation"]) == REVERSED6.split(",")
+    # lambda2 is certified to a gap of 1e-9; the allocation is not unique to
+    # that accuracy, and with the rows reordered it moves by about 1e-6
+    assert reps[1]["allocation"] == pytest.approx(reps[0]["allocation"], rel=1e-4)
+    assert reps[1]["lambda2"] == pytest.approx(reps[0]["lambda2"], rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:all nodes are sources")
+def test_landscape_labels_reordered_sources(capsys):
+    # the star's leaves have distinct lengths, so a swapped column moves lambda2;
+    # at resolution 3 some points put budget on 3 of its 4 nodes, and lambda2 > 0
+    grids = []
+    for sources in ("1,2,3,4", "4,3,2,1"):
+        code, out, _ = run(capsys, "landscape", FIXTURES / "star.json", "--budget", "5e-3",
+                           "--resolution", "3", "--sources", sources)
+        assert code == 0
+        header, *rows = list(csv.reader(io.StringIO(out)))
+        assert header == [f"coord_{i}" for i in sources.split(",")] + ["lambda2"]
+        ids = [int(i) for i in sources.split(",")]
+        grids.append({tuple(sorted(zip(ids, map(float, row[:-1])))): float(row[-1])
+                      for row in rows})
+    assert grids[1].keys() == grids[0].keys()
+    scale = max(grids[0].values())
+    for coords, lam2 in grids[0].items():
+        assert grids[1][coords] == pytest.approx(lam2, rel=1e-9, abs=1e-12 * scale)
+
+
+def test_kron_keeps_reordered_sources(capsys):
+    reps = []
+    for sources in (SORTED6, REVERSED6):
+        with pytest.warns(RuntimeWarning, match="nothing to eliminate"):
+            code, out, _ = run(capsys, "kron", FEEDER6, "--sources", sources)
+        assert code == 0
+        reps.append(json.loads(out))
+    assert reps[1]["node_ids"] == [6, 5, 4, 3, 2, 1]
+    assert np.array_equal(reps[1]["laplacian"], np.array(reps[0]["laplacian"])[::-1, ::-1])
+    assert reps[1]["lambda2"] == pytest.approx(reps[0]["lambda2"], rel=1e-12)
+
+
 def test_simulate_worst_case(capsys):
     code, out, _ = run(capsys, "simulate", FIXTURES / "complete4.json",
                        "--worst-case")
@@ -167,6 +223,29 @@ def test_linalg_calls_per_command(capsys, tmp_path, count_linalg, label):
     code, _, _ = run(capsys, argv[0], fixture, *argv[1:])
     assert code == 0
     want = dict.fromkeys(LINALG_CALLS + ("laplacian",), 0) | {"topology": 1} | LINALG_COUNTS[label]
+    assert {name: count_linalg[name] for name in want} == want
+
+
+# path4 reduced onto its end nodes eliminates two: one reduction (the load
+# block's cond and one solve) and one eigh of the reduced record, which the
+# allocation's lift reads; on two nodes the solver stops after its first
+# stacked eigh, and one eigvalsh gives lambda2
+ELIMINATING_COUNTS = {
+    "kron": (("kron",), {"cond": 1, "solve": 1, "eigh": 1}),
+    "optimize-budget": (("optimize", "--budget", "5e-3"),
+                        {"cond": 1, "solve": 1, "eigh": 2, "eigvalsh": 1}),
+    "optimize-target-theta": (("optimize", "--target-theta", "1.2"),
+                              {"cond": 1, "solve": 1, "eigh": 2, "eigvalsh": 1}),
+}
+
+
+@pytest.mark.parametrize("label", sorted(ELIMINATING_COUNTS))
+def test_linalg_calls_with_eliminated_nodes(capsys, count_linalg, label):
+    command, counts = ELIMINATING_COUNTS[label]
+    code, _, _ = run(capsys, command[0], FIXTURES / "path4.json", *command[1:],
+                     "--sources", "1,4")
+    assert code == 0
+    want = dict.fromkeys(LINALG_CALLS, 0) | {"laplacian": 1, "topology": 1} | counts
     assert {name: count_linalg[name] for name in want} == want
 
 

@@ -21,7 +21,6 @@ def test_series_path_collapses(fixtures_dir):
     # two unit lines in series = one line of length 2
     assert np.allclose(red.matrix, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-14)
     assert red.node_ids() == (1, 3)
-    assert red.node_map == {1: 0, 3: 1}
 
 
 def test_all_sources_is_identity_reduction(fixtures_dir):
@@ -29,6 +28,11 @@ def test_all_sources_is_identity_reduction(fixtures_dir):
     with pytest.warns(RuntimeWarning, match="nothing to eliminate"):
         red = kron_reduce_real(lap, [1, 2, 3])
     assert np.array_equal(red.matrix, lap.matrix)
+    # the record keeps the order the sources are given in
+    with pytest.warns(RuntimeWarning, match="nothing to eliminate"):
+        red = kron_reduce_real(lap, [3, 1, 2])
+    assert red.node_ids() == (3, 1, 2)
+    assert np.array_equal(red.matrix, lap.matrix[np.ix_([2, 0, 1], [2, 0, 1])])
 
 
 def test_ieee13_reduced_connectivity(fixtures_dir):
@@ -46,8 +50,7 @@ def test_two_step_reduction_matches_one_step():
         lap = build_laplacian(make_network(random_connected_edges(rng, n)))
         one = kron_reduce_real(lap, [1, 2, 3])
         mid = kron_reduce_real(lap, [1, 2, 3, 4])
-        mid_lap = WeightedLaplacian(mid.matrix, np.array([]), mid.node_ids())
-        two = kron_reduce_real(mid_lap, [1, 2, 3])
+        two = kron_reduce_real(mid, [1, 2, 3])
         assert np.max(np.abs(one.matrix - two.matrix)) <= 1e-10
 
 
@@ -65,14 +68,6 @@ def test_reduced_matrix_is_laplacian():
         assert np.all(np.linalg.eigvalsh(M) >= -1e-12 * np.max(np.abs(M)))
 
 
-def test_load_current_offset(fixtures_dir):
-    lap = build_laplacian(load_network(fixtures_dir / "bare.json"))
-    red = kron_reduce_real(lap, [1, 3], load_currents=np.array([4.0]),
-                           r_per_len=0.7)
-    # single eliminated node: offset = -r * L_SL * i_2 / L_22 = 0.7 * 4 / 2
-    assert np.allclose(red.offset, [1.4, 1.4], atol=1e-14)
-
-
 def test_real_reduction_errors(fixtures_dir):
     lap = build_laplacian(load_network(fixtures_dir / "bare.json"))
     with pytest.raises(ValidationError, match="unknown node ids"):
@@ -81,11 +76,6 @@ def test_real_reduction_errors(fixtures_dir):
         kron_reduce_real(lap, [])
     with pytest.raises(ValidationError, match="at least 2"):
         kron_reduce_real(lap, [3])
-    with pytest.raises(ValueError, match="r_per_len"):
-        kron_reduce_real(lap, [1, 3], load_currents=np.array([1.0]))
-    with pytest.raises(ValidationError, match="load_currents"):
-        kron_reduce_real(lap, [1, 3], load_currents=np.array([1.0, 2.0]),
-                         r_per_len=0.7)
 
 
 def test_disconnected_load_island_raises():
@@ -94,7 +84,7 @@ def test_disconnected_load_island_raises():
                   [-1.0, 1.0, 0.0, 0.0],
                   [0.0, 0.0, 1.0, -1.0],
                   [0.0, 0.0, -1.0, 1.0]])
-    lap = WeightedLaplacian(M, np.array([1.0, 1.0]), (1, 2, 3, 4))
+    lap = WeightedLaplacian(M, (1, 2, 3, 4))
     with pytest.raises(SingularMatrixError, match="load block"):
         kron_reduce_real(lap, [1, 2])
 

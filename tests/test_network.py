@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netinduct import (ParseError, PowerNetwork, ValidationError, build_laplacian,
-                       load_network, network_from_dict, network_from_json,
-                       network_to_dict, save_network)
+                       kron_reduce_real, load_network, network_from_dict,
+                       network_from_json, network_to_dict, save_network)
 from netinduct import network
 from netinduct.network import Outputs
 from conftest import FIXTURES, make_network, random_connected_edges
@@ -98,10 +98,14 @@ def test_laplacian_record_is_shared_and_read_only(fixtures_dir):
     assert build_laplacian(swept) is lap
     assert build_laplacian(swept.with_outputs(l_out=1e-3)) is lap
     assert lap.spectrum is build_laplacian(swept).spectrum
-    for array in (lap.matrix, lap.weights, lap.spectrum.eigenvalues,
-                  lap.spectrum.eigenvectors):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 1.0
+    # a Kron reduction is the same kind of record, read-only as well, whether
+    # it eliminates nodes or (every node a source) only reorders them
+    with pytest.warns(RuntimeWarning, match="nothing to eliminate"):
+        reordered = kron_reduce_real(lap, lap.node_ids()[::-1])
+    for rec in (lap, kron_reduce_real(lap, net.source_ids()), reordered):
+        for array in (rec.matrix, rec.spectrum.eigenvalues, rec.spectrum.eigenvectors):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
     # a network built afresh assembles its own record
     assert build_laplacian(load_network(fixtures_dir / "ieee13_50hz.json")) is not lap
 
@@ -239,7 +243,7 @@ def test_laplacian_equals_incidence_product(n, seed):
     B = np.zeros((net.n, net.m))  # incidence matrix, either orientation
     for k, e in enumerate(net.edges):
         B[index[e.a], k], B[index[e.b], k] = 1.0, -1.0
-    expect = B @ np.diag(lap.weights) @ B.T
+    expect = B @ np.diag(1.0 / np.array(net.topology.length)) @ B.T
     assert np.max(np.abs(lap.matrix - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 

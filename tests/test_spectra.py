@@ -82,7 +82,7 @@ def test_product_star_boundary_allocation(fixtures_dir):
     lap = build_laplacian(load_network(fixtures_dir / "star.json"))
     d = np.array([2.20e-3, 1.23e-3, 1.57e-3, 0.0])
     expect = sorted([0.0, 2.20e-3 / 5, 1.23e-3 / 7, 1.57e-3 / 9])
-    vals = eig_product(d, lap)
+    vals = eig_product(d, lap.matrix)
     assert np.allclose(vals, expect, atol=1e-12)
     assert vals[1] == pytest.approx(1.57e-3 / 9, rel=1e-9)
 

@@ -266,12 +266,11 @@ def _laplacian(net: PowerNetwork, sources=None) -> WeightedLaplacian:
     return lap if sources is None else kron_reduce_real(lap, sources)
 
 
-def design_uniform(net: PowerNetwork, target_theta: float, sources=None,
-                   r_out: float = 0.0) -> float:
+def design_uniform(net: PowerNetwork, target_theta: float, sources=None) -> float:
     """Uniform output inductance reaching a target impedance angle.
 
-    Solves arctan(omega * (l_o lam2 + l)/(r_o lam2 + r)) = target for l_o,
-    with lam2 taken from the (optionally Kron-reduced) Laplacian.
+    Solves arctan(omega * (l_o lam2 + l)/r) = target for l_o, with no output
+    resistance and lam2 taken from the (optionally Kron-reduced) Laplacian.
     """
     r, l, omega = net.r_per_len, net.l_per_len, net.omega
     lam2 = algebraic_connectivity(_laplacian(net, sources).spectrum).value
@@ -279,7 +278,7 @@ def design_uniform(net: PowerNetwork, target_theta: float, sources=None,
     if not current <= target_theta < math.pi / 2:
         raise ValidationError(
             f"target theta {target_theta!r} not in [{current!r}, pi/2)")
-    return (math.tan(target_theta) / omega * (r_out * lam2 + r) - l) / lam2
+    return (math.tan(target_theta) / omega * r - l) / lam2
 
 
 def design_nonuniform(net: PowerNetwork, target_theta: float,

@@ -151,7 +151,8 @@ def cmd_simulate(args) -> int:
     traj = simulate.homogeneous_solution(dyn, i0, grid)
     verdict = simulate.verify_envelopes(traj, rep)
     if args.output:
-        simulate.trajectory_csv(traj, args.output)
+        with open(args.output, "w", newline="") as fh:
+            simulate.trajectory_csv(traj, fh)
     report = {
         "psi_nir": rep.psi_nir,
         "psi_nrr": rep.psi_nrr,
@@ -239,9 +240,12 @@ def cmd_sweep(args) -> int:
             w.writerow(["l_out", "theta_nir"]
                        + [f"theta_{i}_{j}" for i, j in pairs]
                        + [f"class_{i}_{j}" for i, j in pairs])
+        klass = table.klass.tolist()
+        # an absent pair's angle cell is empty, as in the kron --phasor table
         w.writerow([repr(float(lo)), repr(rep.theta_nir)]
-                   + [repr(x) for x in table.theta_principal_rad.tolist()]
-                   + table.klass.tolist())
+                   + ["" if k == "absent" else repr(x)
+                      for x, k in zip(table.theta_principal_rad.tolist(), klass)]
+                   + klass)
     _emit(buf.getvalue(), args)
     return 0
 

@@ -1,10 +1,13 @@
 """Kron reduction: real Schur complements and phasor-domain reduction.
 
 Real reduction eliminates constant-current load nodes from a weighted
-Laplacian.  Phasor reduction eliminates the internal grid nodes of a
-network with uniform output inductors, yielding a complex admittance
-matrix over the augmented nodes, from which per-line impedance angles
-and a physical/virtual classification are extracted into a columnar
+Laplacian.  It trusts the validated network: in a connected graph every
+load component touches a source, so the load block is nonsingular and the
+Schur complement is again a connected Laplacian; no condition number is
+computed.  Phasor reduction eliminates the internal grid nodes of a network
+with uniform output inductors, yielding a complex admittance matrix over
+the augmented nodes, from which per-line impedance angles and a
+physical/virtual classification are extracted into a columnar
 ``AngleTable``.
 
 Phasor reduction solves M = I + c Lap by LU.  M is normal (Lap is real
@@ -22,12 +25,11 @@ import csv
 import operator
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import IO, Sequence
 
 import numpy as np
 
-from .errors import SingularMatrixError, ValidationError
+from .errors import NetinductError, SingularMatrixError, ValidationError
 from .network import PowerNetwork, WeightedLaplacian, build_laplacian
 
 EDGE_EPS_SCALE = 1e-9  # relative threshold for absent-edge classification
@@ -83,18 +85,6 @@ class AngleTable(Sequence[BranchRecord]):
 class ReducedAdmittance:
     matrix: np.ndarray  # complex, over all augmented nodes
     node_ids: tuple[int, ...]
-    y_line: complex
-
-
-def _check_laplacian(L: np.ndarray, what: str, tol: float = 1e-9) -> None:
-    scale = max(np.max(np.abs(L)), 1e-300)
-    if np.max(np.abs(L - L.T)) > tol * scale:
-        raise ValidationError(f"{what}: not symmetric")
-    if np.max(np.abs(L.sum(axis=1))) > tol * scale:
-        raise ValidationError(f"{what}: row sums not zero")
-    off = L - np.diag(np.diag(L))
-    if np.max(off) > tol * scale:
-        raise ValidationError(f"{what}: positive off-diagonal entry")
 
 
 def kron_reduce_real(lap: WeightedLaplacian, sources: Sequence[int]) -> WeightedLaplacian:
@@ -105,6 +95,10 @@ def kron_reduce_real(lap: WeightedLaplacian, sources: Sequence[int]) -> Weighted
     Laplacian record over the sources, so its spectrum is computed once for
     every consumer.  When every node is a source nothing is eliminated, and
     the record holds ``lap.matrix`` permuted into the order of ``sources``.
+    A load block that is exactly singular (only a hand-built record has one)
+    raises ``SingularMatrixError``.  Row sums further than 1e-9 of the
+    largest entry from zero mean that round-off has taken the result too far
+    to be a Laplacian: a ``NetinductError``, numerical rather than input.
     """
     ids = lap.ids
     index = dict(zip(ids, range(len(ids))))
@@ -124,23 +118,26 @@ def kron_reduce_real(lap: WeightedLaplacian, sources: Sequence[int]) -> Weighted
         L_red = L[np.ix_(s_idx, s_idx)]
     else:
         l_idx = sorted(set(range(len(ids))).difference(s_idx))
-        L_ll = L[np.ix_(l_idx, l_idx)]
-        if np.linalg.cond(L_ll) > 1e14:
-            raise SingularMatrixError("load block L_LL is singular (disconnected load island)")
-        X = np.linalg.solve(L_ll, L[np.ix_(l_idx, s_idx)])
+        try:
+            X = np.linalg.solve(L[np.ix_(l_idx, l_idx)], L[np.ix_(l_idx, s_idx)])
+        except np.linalg.LinAlgError:
+            raise SingularMatrixError(
+                "load block L_LL is singular (disconnected load island)") from None
         L_red = L[np.ix_(s_idx, s_idx)] - L[np.ix_(s_idx, l_idx)] @ X
         L_red = 0.5 * (L_red + L_red.T)  # symmetrize round-off
-        _check_laplacian(L_red, "reduced Laplacian")
+        if np.max(np.abs(L_red.sum(axis=1))) > 1e-9 * max(np.max(np.abs(L_red)), 1e-300):
+            raise NetinductError("reduced Laplacian: row sums not zero (accuracy lost "
+                                 "to round-off)")
 
     L_red.flags.writeable = False
     return WeightedLaplacian(L_red, tuple(src))
 
 
-def phasor_reduce(net: PowerNetwork, l_out: float | None = None) -> ReducedAdmittance:
+def phasor_reduce(net: PowerNetwork) -> ReducedAdmittance:
     """Complex reduction eliminating the grid-side nodes.
 
-    Requires a uniform output inductance l_o > 0 (taken from the network
-    unless overridden) and no output resistance, which the phasor model
+    Requires the network's output inductance to be uniform and > 0 (set it
+    with ``with_outputs``), and no output resistance, which the phasor model
     does not carry yet.  One LU solve of M = I + c L with c = y_l/y_o,
     y_o = 1/(j w l_o) and y_l = 1/(r + j w l).  M is normal with singular
     values |1 + c lam|, so it counts as singular when their ratio exceeds
@@ -150,15 +147,12 @@ def phasor_reduce(net: PowerNetwork, l_out: float | None = None) -> ReducedAdmit
         raise ValidationError(
             "r_out: phasor reduction models inductive outputs only; "
             "output resistance must be 0")
-    if l_out is None:
-        # r_out is all zero here, so the outputs are uniform iff l_out is
-        l_out = float(net.l_out_vector()[0])
-        if not net.uniform_outputs() or l_out == 0.0:
-            raise ValidationError(
-                "phasor reduction needs a uniform output inductance > 0 "
-                "(set it on the nodes or pass l_out)")
-    if l_out <= 0.0:
-        raise ValidationError(f"l_out: must be > 0, got {l_out}")
+    # r_out is all zero here, so the outputs are uniform iff l_out is
+    l_out = float(net.l_out_vector()[0])
+    if not net.uniform_outputs() or l_out == 0.0:
+        raise ValidationError(
+            "phasor reduction needs a uniform output inductance > 0 "
+            "(set it on the nodes, by with_outputs or by --lo)")
 
     omega = net.omega
     y_o = 1.0 / (1j * omega * l_out)
@@ -173,7 +167,7 @@ def phasor_reduce(net: PowerNetwork, l_out: float | None = None) -> ReducedAdmit
     M = eye + (y_l / y_o) * lap.matrix
     Minv = np.linalg.solve(M, eye)  # LU with partial pivoting
     Y = y_o * (eye - Minv)
-    return ReducedAdmittance(Y, lap.ids, y_l)
+    return ReducedAdmittance(Y, lap.ids)
 
 
 def line_angles(red: ReducedAdmittance, original: PowerNetwork) -> AngleTable:
@@ -202,21 +196,14 @@ def line_angles(red: ReducedAdmittance, original: PowerNetwork) -> AngleTable:
     return AngleTable(pairs.i, pairs.j, adm, z, np.arctan2(z.imag, z.real), principal, klass)
 
 
-def angle_table_csv(table: AngleTable, dest: str | Path | IO[str]) -> None:
-    """Write the angle table with the fixed documented header."""
-
-    def _write(fh):
-        w = csv.writer(fh)
-        w.writerow(ANGLE_CSV_HEADER)
-        values = zip(map(repr, table.impedance.real.tolist()),
-                     map(repr, table.impedance.imag.tolist()),
-                     map(repr, table.theta_rad.tolist()))
-        for i, j, klass, cells in zip(table.i.tolist(), table.j.tolist(),
-                                      table.klass.tolist(), values):
-            w.writerow([i, j, klass, *(("", "", "") if klass == "absent" else cells)])
-
-    if hasattr(dest, "write"):
-        _write(dest)
-    else:
-        with open(dest, "w", newline="") as fh:
-            _write(fh)
+def angle_table_csv(table: AngleTable, fh: IO[str]) -> None:
+    """Write the angle table to the open text handle ``fh``, with the fixed
+    documented header; an absent pair's R, X and angle cells are empty."""
+    w = csv.writer(fh)
+    w.writerow(ANGLE_CSV_HEADER)
+    values = zip(map(repr, table.impedance.real.tolist()),
+                 map(repr, table.impedance.imag.tolist()),
+                 map(repr, table.theta_rad.tolist()))
+    for i, j, klass, cells in zip(table.i.tolist(), table.j.tolist(),
+                                  table.klass.tolist(), values):
+        w.writerow([i, j, klass, *(("", "", "") if klass == "absent" else cells)])

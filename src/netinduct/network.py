@@ -12,7 +12,8 @@ a ``Topology`` (node ids and roles, the edges as three columns ``edge_a``,
 record, and an ``Outputs`` set (per-node r_out and l_out as read-only
 arrays, and the frequency).  Outputs and frequency do not enter the
 Laplacian, so ``with_outputs`` builds and validates a new output set only
-and shares the topology, eigendecomposition included.
+and shares the topology, eigendecomposition included.  There are no row
+views: read the columns, or ``network_to_dict`` for the document's rows.
 
 Parsing and validation work on whole columns.  A document's rows are read
 once, and a location such as ``edges[3].b`` is formatted only for an error:
@@ -41,29 +42,14 @@ UNIFORM_RTOL = 1e-12  # relative spread below which per-node outputs count as un
 
 
 @dataclass(frozen=True)
-class NodeSpec:
-    id: int
-    role: str
-    r_out: float  # ohm
-    l_out: float  # henry
-
-
-@dataclass(frozen=True)
-class EdgeSpec:
-    a: int
-    b: int
-    length: float  # in the network's length unit
-
-
-@dataclass(frozen=True)
 class Topology:
     """Validated graph and line constants: everything the Laplacian depends on.
 
     Node ``k`` has id ``ids[k]`` and role ``roles[k]``.  Ids are sorted, so
     matrix row/column ``k`` always refers to the node with the ``k``-th
     smallest id.  Edge ``k`` joins nodes ``edge_a[k]`` and ``edge_b[k]`` by
-    a line of length ``length[k]``; ``edges`` gives the same as rows, built
-    on access.  The Laplacian record is assembled on first use and kept.
+    a line of length ``length[k]``.  The Laplacian record is assembled on
+    first use and kept.
     """
 
     ids: tuple[int, ...]
@@ -77,10 +63,6 @@ class Topology:
 
     def __post_init__(self):
         _validate_topology(self)
-
-    @property
-    def edges(self) -> tuple[EdgeSpec, ...]:
-        return tuple(map(EdgeSpec, self.edge_a, self.edge_b, self.length))
 
     @cached_property
     def laplacian(self) -> "WeightedLaplacian":
@@ -128,9 +110,9 @@ class Outputs:
 class PowerNetwork:
     """Validated immutable network: a topology and an output set.
 
-    Each part is validated once, when it is built.  The node and edge rows
-    (``nodes`` and ``edges``, built on access), line constants, frequency
-    and output vectors read through to the two parts.
+    Each part is validated once, when it is built.  The line constants,
+    frequency and output vectors read through to the two parts; the node and
+    edge columns are the topology's.
     """
 
     topology: Topology
@@ -142,15 +124,6 @@ class PowerNetwork:
                                   f"for {len(self.topology.ids)} nodes")
 
     @property
-    def nodes(self) -> tuple[NodeSpec, ...]:
-        top, out = self.topology, self.outputs
-        return tuple(map(NodeSpec, top.ids, top.roles, out.r_out.tolist(), out.l_out.tolist()))
-
-    @property
-    def edges(self) -> tuple[EdgeSpec, ...]:
-        return self.topology.edges
-
-    @property
     def r_per_len(self) -> float:
         return self.topology.r_per_len
 
@@ -159,20 +132,12 @@ class PowerNetwork:
         return self.topology.l_per_len
 
     @property
-    def length_unit(self) -> str:
-        return self.topology.length_unit
-
-    @property
     def omega(self) -> float:
         return self.outputs.omega
 
     @property
     def n(self) -> int:
         return len(self.topology.ids)
-
-    @property
-    def m(self) -> int:
-        return len(self.topology.length)
 
     def node_ids(self) -> tuple[int, ...]:
         return self.topology.ids
@@ -434,10 +399,6 @@ def network_to_dict(net: PowerNetwork) -> dict[str, Any]:
     }
 
 
-def save_network(net: PowerNetwork, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(network_to_dict(net), indent=2) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Matrix assembly
 
@@ -458,6 +419,7 @@ class WeightedLaplacian:
     A network's is L = B diag(gamma) B^T with gamma_k = 1/tau_k (inverse
     line lengths); ``kron_reduce_real`` returns the same record over the
     sources it keeps, since a Kron-reduced connected Laplacian is again one.
+    The record trusts that: only the reduction's row sums are checked.
     Treated as immutable: the eigendecomposition, the lift and the pair
     columns are computed on first use and kept, with read-only arrays.  The
     records ``build_laplacian`` returns are shared by every consumer of a

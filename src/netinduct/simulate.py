@@ -12,7 +12,6 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import IO
 
 import numpy as np
@@ -128,20 +127,12 @@ def fit_decay_rates(traj: Trajectory) -> DecayRates:
                       slowest=float(slope(t[-k:], y[-k:])))
 
 
-def trajectory_csv(traj: Trajectory, dest: str | Path | IO[str]) -> None:
-    """Columns: t, I_1 ... I_n, norm."""
-
-    def _write(fh):
-        w = csv.writer(fh)
-        n = traj.currents.shape[0]
-        w.writerow(["t"] + [f"I_{k + 1}" for k in range(n)] + ["norm"])
-        for k, tk in enumerate(traj.times):
-            w.writerow([repr(float(tk))]
-                       + [repr(float(x)) for x in traj.currents[:, k]]
-                       + [repr(float(traj.norms[k]))])
-
-    if hasattr(dest, "write"):
-        _write(dest)
-    else:
-        with open(dest, "w", newline="") as fh:
-            _write(fh)
+def trajectory_csv(traj: Trajectory, fh: IO[str]) -> None:
+    """Write columns t, I_1 ... I_n, norm to the open text handle ``fh``."""
+    w = csv.writer(fh)
+    n = traj.currents.shape[0]
+    w.writerow(["t"] + [f"I_{k + 1}" for k in range(n)] + ["norm"])
+    for k, tk in enumerate(traj.times):
+        w.writerow([repr(float(tk))]
+                   + [repr(float(x)) for x in traj.currents[:, k]]
+                   + [repr(float(traj.norms[k]))])

@@ -36,6 +36,12 @@ def _sources(doc: dict) -> str:
                     if nd["role"] == "source")
 
 
+def _grid_nodes(doc: dict) -> int:
+    """Nodes the landscape grid spans: all of them, or the sources of a larger network."""
+    n = len(doc["nodes"])
+    return n if n <= 6 else sum(nd["role"] == "source" for nd in doc["nodes"])
+
+
 def _target_theta(doc: dict) -> str:
     line = math.atan(doc["frequency_rad_s"] * doc["line"]["l_per_len"] / doc["line"]["r_per_len"])
     return repr(line + 0.3 * (math.pi / 2 - line))
@@ -52,8 +58,11 @@ COMMANDS = {
     "simulate-worst-case": lambda doc: ["simulate", "--points", "40", "--worst-case", "-o", CSV],
     "optimize-budget": lambda doc: ["optimize", "--budget", "5e-3"],
     "optimize-target-theta": lambda doc: ["optimize", "--target-theta", _target_theta(doc)],
-    # the landscape grid takes at most 6 nodes, so larger fixtures are reduced first
-    "landscape": lambda doc: ["landscape", "--budget", "5e-3", "--resolution", "4"]
+    # the landscape grid takes at most 6 nodes, so larger fixtures are reduced
+    # first; on 6 nodes every resolution-4 point leaves at least two nodes at
+    # zero, where lambda2 = 0, so a 6-node grid takes resolution 5
+    "landscape": lambda doc: ["landscape", "--budget", "5e-3",
+                              "--resolution", "5" if _grid_nodes(doc) == 6 else "4"]
     + ([] if len(doc["nodes"]) <= 6 else ["--sources", _sources(doc)]),
     "sweep": lambda doc: ["sweep", "--lo-min", "1e-4", "--lo-max", "1e-2", "--steps", "5"],
 }

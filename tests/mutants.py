@@ -92,6 +92,15 @@ MUTANTS = (
     Mutant("reduced_matrix_writable", "netinduct/kron.py",
            "    L_red.flags.writeable = False\n", "",
            ("tests/test_network.py::test_laplacian_record_is_shared_and_read_only",)),
+    Mutant("phasor_guard_threshold", "netinduct/kron.py",
+           "np.max(sv) > 1e14 * np.min(sv)", "np.max(sv) > 1e13 * np.min(sv)",
+           ("tests/test_kron.py::test_singularity_guard_matches_condition_number",)),
+    Mutant("edge_eps_scale", "netinduct/kron.py",
+           "EDGE_EPS_SCALE = 1e-9", "EDGE_EPS_SCALE = 1e-8",
+           ("tests/test_kron.py::test_absent_below_1e9_of_largest_entry",)),
+    Mutant("load_block_singular_unmapped", "netinduct/kron.py",
+           "        except np.linalg.LinAlgError:", "        except ZeroDivisionError:",
+           ("tests/test_kron.py::test_disconnected_load_island_raises",)),
 )
 
 

@@ -5,6 +5,8 @@ tolerances; ``regenerate.py`` uses the same function to decide which files
 to rewrite.
 """
 
+import csv
+import io
 import json
 import math
 import shutil
@@ -83,3 +85,24 @@ def test_golden_allocation_is_certified(path):
         assert diag["upper_bound"] >= rep["lambda2"] * (1.0 - 4 * np.finfo(float).eps)
     assert min(alloc.values()) >= 0.0
     assert math.fsum(alloc.values()) == pytest.approx(budget, rel=1e-12, abs=0.0)
+
+
+LANDSCAPE = [p for p in GOLDEN if p.stem.endswith(".landscape")
+             and "--sources" not in json.loads(p.read_text())["argv"]]
+
+
+@pytest.mark.parametrize("path", LANDSCAPE, ids=lambda p: p.stem)
+def test_golden_landscape_is_certified(path):
+    # every row of an unreduced golden landscape is lam2 at budget * coords
+    want = json.loads(path.read_text())
+    argv = want["argv"]
+    budget = float(argv[argv.index("--budget") + 1])
+    fixture = Path(__file__).resolve().parents[1] / argv[1]
+    head, *rows = list(csv.reader(io.StringIO(want["stdout"])))
+    nodes = [name.removeprefix("coord_") for name in head[:-1]]
+    rows = np.array(rows, dtype=float)
+    tol = 1e-12 * np.max(np.abs(rows[:, -1]))
+    assert tol > 0.0 and np.max(rows[:, -1]) > 0.0
+    for row in rows:
+        got = _lambda2(fixture, dict(zip(nodes, (budget * row[:-1]).tolist())))
+        assert abs(got - row[-1]) <= tol, row

@@ -95,7 +95,7 @@ def test_two_node_branch_impedance(fixtures_dir):
     # one line of length tau behind two output inductors in series:
     # z = tau (r + j w l) + 2 j w l_o
     net = load_network(fixtures_dir / "twonode.json")
-    red = phasor_reduce(net, l_out=1.5e-3)
+    red = phasor_reduce(net.with_outputs(l_out=1.5e-3))
     z = 1.0 / (-red.matrix[0, 1])
     oracle = 2.0 * (0.7 + 1j * net.omega * 0.001) + 2j * net.omega * 1.5e-3
     assert z == pytest.approx(oracle, rel=1e-12)
@@ -119,8 +119,9 @@ def test_small_output_inductance_limit(fixtures_dir):
     # l_o -> 0: the reduction tends to y_line * Laplacian, so adjacent pairs
     # recover the bare line admittance and non-adjacent pairs vanish
     net = load_network(fixtures_dir / "path4.json")
-    red = phasor_reduce(net, l_out=1e-12)
-    y_line_per_edge = red.y_line / 5.0  # edge length 5
+    red = phasor_reduce(net.with_outputs(l_out=1e-12))
+    y_line = 1.0 / (net.r_per_len + 1j * net.omega * net.l_per_len)
+    y_line_per_edge = y_line / 5.0  # edge length 5
     adj = -red.matrix[0, 1]
     assert adj == pytest.approx(y_line_per_edge, rel=1e-6)
     far = -red.matrix[0, 3]
@@ -128,8 +129,8 @@ def test_small_output_inductance_limit(fixtures_dir):
 
 
 def test_virtual_line_classification(fixtures_dir):
-    net = load_network(fixtures_dir / "path4.json")
-    records = line_angles(phasor_reduce(net, l_out=1e-3), net)
+    net = load_network(fixtures_dir / "path4.json").with_outputs(l_out=1e-3)
+    records = line_angles(phasor_reduce(net), net)
     by_pair = {(rec.i, rec.j): rec for rec in records}
     assert by_pair[(1, 2)].klass == "physical"
     assert by_pair[(2, 3)].klass == "physical"
@@ -138,8 +139,8 @@ def test_virtual_line_classification(fixtures_dir):
 
 
 def test_angle_conventions_consistent(fixtures_dir):
-    net = load_network(fixtures_dir / "path4.json")
-    records = line_angles(phasor_reduce(net, l_out=1e-3), net)
+    net = load_network(fixtures_dir / "path4.json").with_outputs(l_out=1e-3)
+    records = line_angles(phasor_reduce(net), net)
     for rec in records:
         if rec.klass == "absent":
             continue
@@ -151,7 +152,7 @@ def test_angle_conventions_consistent(fixtures_dir):
 def test_reduced_admittance_row_sums(fixtures_dir):
     for name in ("path4.json", "complete4.json", "ieee13_50hz.json"):
         net = load_network(fixtures_dir / name)
-        red = phasor_reduce(net, l_out=2e-3)
+        red = phasor_reduce(net.with_outputs(l_out=2e-3))
         scale = np.max(np.abs(red.matrix))
         assert np.max(np.abs(red.matrix.sum(axis=1))) <= 1e-9 * scale
 
@@ -162,8 +163,6 @@ def test_phasor_rejects_output_resistance(fixtures_dir):
     net = load_network(fixtures_dir / "path4.json").with_outputs(r_out=0.5, l_out=1e-3)
     with pytest.raises(ValidationError, match="r_out"):
         phasor_reduce(net)
-    with pytest.raises(ValidationError, match="r_out"):
-        phasor_reduce(net, l_out=1e-3)
     one = make_network([(1, 2, 1.0), (2, 3, 1.0)], r_out=np.array([0.0, 0.1, 0.0]),
                        l_out=1e-3)
     with pytest.raises(ValidationError, match="r_out"):
@@ -198,7 +197,8 @@ def test_singularity_guard_matches_condition_number(length):
 def _loop_angles(red, original):
     """The per-pair loop that line_angles replaced, kept as its oracle."""
     ids = red.node_ids
-    original_edges = {frozenset((e.a, e.b)) for e in original.edges}
+    top = original.topology
+    original_edges = {frozenset(e) for e in zip(top.edge_a, top.edge_b)}
     eps = EDGE_EPS_SCALE * np.max(np.abs(red.matrix))
     records = []
     for a in range(len(ids)):
@@ -264,9 +264,20 @@ def test_angle_table_absent_pairs_match_loop():
     assert {"physical", "virtual", "absent"} <= set(table.klass.tolist())
 
 
+def test_absent_below_1e9_of_largest_entry():
+    # the documented threshold, written out: the 7 pairs within a decade above
+    # it stay virtual, where a coarser threshold would call them absent
+    net = make_network([(k, k + 1, 1.0) for k in range(1, 10)], l_out=1e-6)
+    red = phasor_reduce(net)
+    table = line_angles(red, net)
+    ratio = np.abs(table.admittance) / np.max(np.abs(red.matrix))
+    assert np.array_equal(table.klass == "absent", ratio < 1e-9)
+    assert np.count_nonzero((ratio >= 1e-9) & (ratio < 1e-8)) == 7
+
+
 def test_angle_table_is_a_sequence_of_rows(fixtures_dir):
-    net = load_network(fixtures_dir / "path4.json")
-    table = line_angles(phasor_reduce(net, l_out=1e-3), net)
+    net = load_network(fixtures_dir / "path4.json").with_outputs(l_out=1e-3)
+    table = line_angles(phasor_reduce(net), net)
     assert len(table) == 6 and len(list(table)) == 6
     assert table[-1] == table[5] == list(table)[-1]  # no absent pair here
     assert (table[0].i, table[0].j) == (1, 2)
@@ -278,16 +289,14 @@ def test_phasor_requires_uniform_positive_inductance(fixtures_dir):
     net = load_network(fixtures_dir / "twonode.json")  # zero outputs
     with pytest.raises(ValidationError, match="uniform output inductance"):
         phasor_reduce(net)
-    with pytest.raises(ValidationError, match="l_out"):
-        phasor_reduce(net, l_out=0.0)
     non = make_network([(1, 2, 1.0)], l_out=np.array([1e-3, 2e-3]))
     with pytest.raises(ValidationError, match="uniform output inductance"):
         phasor_reduce(non)
 
 
 def test_angle_table_csv(fixtures_dir):
-    net = load_network(fixtures_dir / "path4.json")
-    records = line_angles(phasor_reduce(net, l_out=1e-3), net)
+    net = load_network(fixtures_dir / "path4.json").with_outputs(l_out=1e-3)
+    records = line_angles(phasor_reduce(net), net)
     buf = io.StringIO()
     angle_table_csv(records, buf)
     lines = buf.getvalue().strip().splitlines()

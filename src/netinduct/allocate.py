@@ -3,11 +3,10 @@
 Uniform design inverts the closed-form angle target.  Non-uniform design
 maximizes the algebraic connectivity lam2(diag(d) L) over the budget
 simplex {d >= b, sum(d) = c}, a concave objective.  L is a Laplacian
-record, the network's own or its Kron reduction onto the sources, and its
-cached eigendecomposition L = U diag(lam) U^T gives
-S = U[:, 1:] diag(lam[1:])^(1/2), a k x (k-1) matrix, with
-lam2(diag(d) L) = lam_min(S^T diag(d) S), which is linear in d, so the
-design step is the small eigenvalue SDP
+record, the network's own or its Kron reduction onto the sources.  Its
+cached lift S = P C (C the Cholesky factor of L[1:, 1:], P = [-1^T; I]), a
+k x (k-1) matrix with S S^T = L, gives lam2(diag(d) L) = lam_min(S^T diag(d) S),
+linear in d, so the design step is the small eigenvalue SDP
 
     maximize t  subject to  S^T diag(d) S >= t I,  d >= b,  1^T d = c.
 
@@ -16,9 +15,9 @@ split, by a primal-dual interior-point method (HKM direction with a
 Mehrotra predictor-corrector).  Each Newton step factors once: one stacked
 eigh of the primal slack Z and the dual W gives lam_min, Z^-1 and both
 step-length scalings, and predictor and corrector share one equilibration
-of the Newton system.  Any W >= 0 with tr W = 1 bounds the
-optimum from above by UB = b^T g + (c - sum(b)) max_i g_i, where
-g_i = s_i^T W s_i and s_i is row i of S; the dual iterates supply such W.
+of the Newton system.  Any W >= 0 with tr W = 1 bounds the optimum from
+above by UB = b^T g + (c - sum(b)) max_i g_i, where g_i = s_i^T W s_i and
+s_i is row i of S; the dual iterates supply such W.
 The solver stops once the certified relative gap (UB - lam2) / UB is at
 most ``_GAP_TARGET`` and returns the primal iterate with the largest lam2.
 When diag(d) L is badly conditioned at the optimum (lam_max / lam2 of about
@@ -35,10 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NetinductError, ValidationError
 from .kron import kron_reduce_real
 from .network import PowerNetwork, WeightedLaplacian, build_laplacian
-from .spectra import algebraic_connectivity, eig_product
 
 _GAP_TARGET = 1e-9  # certified relative duality gap at which the solver stops
 _MAX_STEPS = 60  # safety net: well-conditioned problems (k = 2..12) stop within 18 steps
@@ -46,8 +44,9 @@ _MAX_STEPS = 60  # safety net: well-conditioned problems (k = 2..12) stop within
 
 @dataclass(frozen=True)
 class AllocationProblem:
-    """``laplacian`` may be given as a matrix, which is copied into a read-only
-    record over the node ids 0..n-1."""
+    """``laplacian`` may be given as a matrix: built from no validated network,
+    it is checked to be a connected Laplacian (a ``ValidationError`` names the
+    fault) and copied into a read-only record over the node ids 0..n-1."""
 
     laplacian: WeightedLaplacian
     budget: float  # henry
@@ -58,9 +57,10 @@ class AllocationProblem:
 
     def __post_init__(self):
         if not isinstance(self.laplacian, WeightedLaplacian):
-            L = np.array(self.laplacian, dtype=float)
+            L = np.array(self.laplacian, dtype=float, ndmin=2)
             L.flags.writeable = False
             object.__setattr__(self, "laplacian", WeightedLaplacian(L, tuple(range(len(L)))))
+            _check_laplacian(self.laplacian)
 
     def bounds(self) -> np.ndarray:
         n = len(self.laplacian.ids)
@@ -89,15 +89,20 @@ class AllocationResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _lift(lap: WeightedLaplacian) -> tuple[np.ndarray, float]:
-    """S with S S^T = L, so lam2(diag(d) L) = lam_min(S^T diag(d) S); and lam2(L).
-
-    Read off the record's cached eigendecomposition.
-    """
-    lam, U = lap.spectrum.eigenvalues, lap.spectrum.eigenvectors
-    if not lam[1] > 1e-12 * max(lam[-1], 1e-300):
+def _check_laplacian(lap: WeightedLaplacian) -> None:
+    """Symmetry; zero row sums, to the reduction's 1e-9 (else S S^T != L); lam2 > 0."""
+    L = lap.matrix
+    if L.ndim != 2 or not 2 <= len(L) == L.shape[1] or not np.all(np.isfinite(L)):
+        raise ValidationError(f"laplacian: allocation needs a square matrix of finite "
+                              f"numbers over at least 2 nodes, got shape {L.shape}")
+    scale = max(np.max(np.abs(L)), 1e-300)
+    if np.max(np.abs(L - L.T)) > 1e-12 * scale:
+        raise ValidationError("laplacian: matrix is not symmetric")
+    if np.max(np.abs(L.sum(axis=1))) > 1e-9 * scale:
+        raise ValidationError("laplacian: row sums are not zero")
+    lam = lap.eigenvalues
+    if not lam[1] > 1e-12 * lam[-1]:
         raise ValidationError("laplacian: lambda2 is zero, the network is disconnected")
-    return U[:, 1:] * np.sqrt(np.clip(lam[1:], 0.0, None)), float(lam[1])
 
 
 def _upper_bound(g: np.ndarray, beta: np.ndarray, free: float) -> float:
@@ -210,8 +215,10 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
     b = problem.bounds()
     c = problem.budget
     free = c - b.sum()
-    S, lam2_L = _lift(lap)
-    k = len(lap.ids)
+    lam2_L = float(lap.eigenvalues[1])
+    if not lam2_L > 0.0:  # the record is connected, so round-off has lost lam2
+        raise NetinductError(f"laplacian: lambda2 is not > 0, got {lam2_L!r} (round-off)")
+    S, k = lap.lift, len(lap.ids)
     if free <= 1e-12 * c:  # the simplex is the single point b
         best, steps = b, 0
         v = np.linalg.eigh((S.T * b) @ S)[1][:, 0]
@@ -222,7 +229,7 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
         best = b + spent * (free / spent.sum())
         upper = ub * c * lam2_L / k
 
-    lam2 = float(eig_product(best, lap.matrix)[1])
+    lam2 = float(np.linalg.eigvalsh((S.T * best) @ S)[0])
     psi = theta = None
     if problem.r_per_len is not None and problem.l_per_len is not None:
         psi = (lam2 + problem.l_per_len) / problem.r_per_len
@@ -250,14 +257,16 @@ def allocation_landscape(problem: AllocationProblem, resolution: int) -> np.ndar
         raise ValidationError("resolution must be >= 1")
     b = problem.bounds()
     free = problem.budget - b.sum()
-    S, _ = _lift(lap)
+    S = lap.lift
 
     coords = np.array([np.diff((-1,) + combo + (resolution + n - 1,)) - 1
                        for combo in itertools.combinations(range(resolution + n - 1), n - 1)]
                       ) / resolution
     d = b + free * coords
-    # one stacked eigvalsh of S^T diag(d_p) S over every grid point p
-    return np.column_stack([coords, np.linalg.eigvalsh((S.T * d[:, None, :]) @ S)[:, 0]])
+    # one stacked eigvalsh of S^T diag(d_p) S over every grid point p; with two
+    # or more d_i = 0 its rank is below n - 1, so lam2 is 0, not round-off
+    lam2 = np.linalg.eigvalsh((S.T * d[:, None, :]) @ S)[:, 0]
+    return np.column_stack([coords, np.where(np.sum(d == 0.0, axis=1) >= 2, 0.0, lam2)])
 
 
 def _laplacian(net: PowerNetwork, sources=None) -> WeightedLaplacian:
@@ -273,11 +282,10 @@ def design_uniform(net: PowerNetwork, target_theta: float, sources=None) -> floa
     resistance and lam2 taken from the (optionally Kron-reduced) Laplacian.
     """
     r, l, omega = net.r_per_len, net.l_per_len, net.omega
-    lam2 = algebraic_connectivity(_laplacian(net, sources).spectrum).value
+    lam2 = float(_laplacian(net, sources).eigenvalues[1])
     current = math.atan(omega * l / r)
     if not current <= target_theta < math.pi / 2:
-        raise ValidationError(
-            f"target theta {target_theta!r} not in [{current!r}, pi/2)")
+        raise ValidationError(f"target theta {target_theta!r} not in [{current!r}, pi/2)")
     return (math.tan(target_theta) / omega * r - l) / lam2
 
 
@@ -293,8 +301,7 @@ def design_nonuniform(net: PowerNetwork, target_theta: float,
     lap = _laplacian(net, sources)
     current = math.atan(omega * l / r)
     if not current < target_theta < math.pi / 2:
-        raise ValidationError(
-            f"target theta {target_theta!r} not in ({current!r}, pi/2)")
+        raise ValidationError(f"target theta {target_theta!r} not in ({current!r}, pi/2)")
 
     unit = optimize_allocation(AllocationProblem(lap, 1.0))
     lam2_hat = unit.lam2  # lam2 per unit budget along the optimal direction

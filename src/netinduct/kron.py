@@ -13,7 +13,7 @@ physical/virtual classification are extracted into a columnar
 Phasor reduction solves M = I + c Lap by LU.  M is normal (Lap is real
 symmetric, so M = U diag(1 + c lam) U^T), hence its singular values are
 |1 + c lam| over the Laplacian's eigenvalues, and the singularity guard
-cond(M) > 1e14 is read off the cached spectrum in O(n) instead of an SVD.
+cond(M) > 1e14 is read off the cached eigenvalues in O(n) instead of an SVD.
 The solve itself stays LU: against a 50-digit reference, forming Y in the
 eigenbasis loses about 2e-9 relative on the far entries of a 4-node path at
 l_o = 1e-4 H, where the LU stays within 1e-15.
@@ -92,8 +92,8 @@ def kron_reduce_real(lap: WeightedLaplacian, sources: Sequence[int]) -> Weighted
 
     ``sources`` are node ids kept, in the order given (a repeated id is
     dropped); all other nodes are eliminated.  The result is a read-only
-    Laplacian record over the sources, so its spectrum is computed once for
-    every consumer.  When every node is a source nothing is eliminated, and
+    Laplacian record over the sources, whose eigenvalues and lift every
+    consumer shares.  When every node is a source nothing is eliminated, and
     the record holds ``lap.matrix`` permuted into the order of ``sources``.
     A load block that is exactly singular (only a hand-built record has one)
     raises ``SingularMatrixError``.  Row sums further than 1e-9 of the
@@ -141,7 +141,7 @@ def phasor_reduce(net: PowerNetwork) -> ReducedAdmittance:
     does not carry yet.  One LU solve of M = I + c L with c = y_l/y_o,
     y_o = 1/(j w l_o) and y_l = 1/(r + j w l).  M is normal with singular
     values |1 + c lam|, so it counts as singular when their ratio exceeds
-    1e14, as cond(M) would, read off the network's cached spectrum.
+    1e14, as cond(M) would, read off the network's cached eigenvalues.
     """
     if net.r_out_vector().any():
         raise ValidationError(
@@ -159,10 +159,9 @@ def phasor_reduce(net: PowerNetwork) -> ReducedAdmittance:
     y_l = 1.0 / (net.r_per_len + 1j * omega * net.l_per_len)
 
     lap = build_laplacian(net)
-    sv = np.abs(1.0 + (y_l / y_o) * lap.spectrum.eigenvalues)
+    sv = np.abs(1.0 + (y_l / y_o) * lap.eigenvalues)
     if np.max(sv) > 1e14 * np.min(sv):
-        raise SingularMatrixError(
-            f"(I + (y_l/y_o) L) is singular at omega = {omega!r}")
+        raise SingularMatrixError(f"(I + (y_l/y_o) L) is singular at omega = {omega!r}")
     eye = np.eye(net.n, dtype=complex)
     M = eye + (y_l / y_o) * lap.matrix
     Minv = np.linalg.solve(M, eye)  # LU with partial pivoting

@@ -122,9 +122,7 @@ def _uniform_report(net: PowerNetwork, lap: WeightedLaplacian) -> MeasureReport:
     r_o = float(net.r_out_vector()[0])
     l_o = float(net.l_out_vector()[0])
 
-    vals = lap.spectrum.eigenvalues  # computed once per topology
-    lam2 = float(vals[1])
-    lam_max = float(vals[-1])
+    lam2, lam_max = float(lap.eigenvalues[1]), float(lap.eigenvalues[-1])  # once per topology
 
     diff = r_o * l - r * l_o  # sign of r_o/l_o - r/l
     scale = max(abs(r_o * l), abs(r * l_o))

@@ -12,8 +12,8 @@ a ``Topology`` (node ids and roles, the edges as three columns ``edge_a``,
 record, and an ``Outputs`` set (per-node r_out and l_out as read-only
 arrays, and the frequency).  Outputs and frequency do not enter the
 Laplacian, so ``with_outputs`` builds and validates a new output set only
-and shares the topology, eigendecomposition included.  There are no row
-views: read the columns, or ``network_to_dict`` for the document's rows.
+and shares the topology, its Laplacian's eigenvalues and lift included.
+There are no row views: read the columns, or ``network_to_dict`` for rows.
 
 Parsing and validation work on whole columns.  A document's rows are read
 once, and a location such as ``edges[3].b`` is formatted only for an error:
@@ -35,7 +35,6 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .spectra import Spectrum, eig_symmetric
 
 ROLES = ("source", "load")
 UNIFORM_RTOL = 1e-12  # relative spread below which per-node outputs count as uniform
@@ -162,9 +161,8 @@ class PowerNetwork:
                      omega: float | None = None) -> "PowerNetwork":
         """Copy with uniform output overrides and/or a new frequency.
 
-        Only the output set is built and validated anew.  The copy shares
-        this network's topology, and with it the Laplacian record and its
-        eigendecomposition.
+        Only the output set is built and validated anew: the copy shares this
+        network's topology, and with it the Laplacian record and all it caches.
         """
         out = self.outputs
         return PowerNetwork(self.topology, Outputs(
@@ -416,14 +414,15 @@ class PairColumns(NamedTuple):
 class WeightedLaplacian:
     """A connected Laplacian over the nodes ``ids``: row/column ``k`` is node ``ids[k]``.
 
-    A network's is L = B diag(gamma) B^T with gamma_k = 1/tau_k (inverse
-    line lengths); ``kron_reduce_real`` returns the same record over the
-    sources it keeps, since a Kron-reduced connected Laplacian is again one.
-    The record trusts that: only the reduction's row sums are checked.
-    Treated as immutable: the eigendecomposition, the lift and the pair
-    columns are computed on first use and kept, with read-only arrays.  The
-    records ``build_laplacian`` returns are shared by every consumer of a
-    topology, so their own arrays are read-only as well.
+    A record guarantees a symmetric matrix with zero row sums and lam2 > 0,
+    checked once where the matrix comes from: topology validation for a
+    network's L = B diag(gamma) B^T (gamma_k = 1/tau_k, symmetric by
+    assembly), the row-sum test of ``kron_reduce_real`` (which returns the
+    same record over the sources it keeps), or ``AllocationProblem`` for a
+    bare matrix.  Code that reads its ``eigenvalues`` and ``lift`` checks
+    nothing again.  Treated as immutable: the eigenvalues, the lift and the
+    pair columns are computed on first use and kept, read-only, as are the
+    matrices of the records ``build_laplacian`` shares.
     """
 
     matrix: np.ndarray  # n x n symmetric PSD
@@ -433,12 +432,11 @@ class WeightedLaplacian:
         return self.ids
 
     @cached_property
-    def spectrum(self) -> Spectrum:
-        """Ascending eigenvalues and orthonormal eigenvectors of ``matrix``."""
-        spec = eig_symmetric(self.matrix)
-        spec.eigenvalues.flags.writeable = False
-        spec.eigenvectors.flags.writeable = False
-        return spec
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of ``matrix``: lam[0] is 0 to round-off, lam[1] is lam2."""
+        lam = np.linalg.eigvalsh(self.matrix)
+        lam.flags.writeable = False
+        return lam
 
     @cached_property
     def lift(self) -> np.ndarray:

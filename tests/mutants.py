@@ -101,6 +101,30 @@ MUTANTS = (
     Mutant("load_block_singular_unmapped", "netinduct/kron.py",
            "        except np.linalg.LinAlgError:", "        except ZeroDivisionError:",
            ("tests/test_kron.py::test_disconnected_load_island_raises",)),
+    Mutant("bare_matrix_symmetry", "netinduct/allocate.py",
+           "    if np.max(np.abs(L - L.T)) > 1e-12 * scale:\n"
+           "        raise ValidationError(\"laplacian: matrix is not symmetric\")\n", "",
+           ("tests/test_allocate.py::test_non_symmetric_bare_matrix_rejected",)),
+    Mutant("bare_matrix_row_sums", "netinduct/allocate.py",
+           "    if np.max(np.abs(L.sum(axis=1))) > 1e-9 * scale:\n"
+           "        raise ValidationError(\"laplacian: row sums are not zero\")\n", "",
+           ("tests/test_allocate.py::test_bare_matrix_with_nonzero_row_sums_rejected",)),
+    Mutant("bare_matrix_lambda2", "netinduct/allocate.py",
+           "    if not lam[1] > 1e-12 * lam[-1]:\n"
+           "        raise ValidationError(\"laplacian: lambda2 is zero, the network is "
+           "disconnected\")\n", "",
+           ("tests/test_allocate.py::test_disconnected_laplacian_rejected",)),
+    Mutant("uniform_rtol", "netinduct/network.py",
+           "UNIFORM_RTOL = 1e-12", "UNIFORM_RTOL = 1e-6",
+           ("tests/test_measures.py::test_uniformity_threshold_is_1e12_relative",)),
+    Mutant("gap_target", "netinduct/allocate.py",
+           "_GAP_TARGET = 1e-9", "_GAP_TARGET = 1e-7",
+           ("tests/test_cli.py::test_linalg_calls_per_newton_step",
+            f"{GOLDEN}[path4.optimize-budget]")),
+    Mutant("envelope_slack", "netinduct/simulate.py",
+           "ENVELOPE_SLACK = 1e-9", "ENVELOPE_SLACK = 0",
+           ("tests/test_cli.py::test_simulate_worst_case",
+            f"{GOLDEN}[complete4.simulate-worst-case]")),
 )
 
 

@@ -27,13 +27,19 @@ REPORT_PATH = Path(__file__).resolve().parent.parent / "conformance_report.txt"
 
 
 @pytest.fixture(scope="session")
-def conformance():
+def diagnoses():
+    """Lines explaining a criterion's result, written under its notes, by number."""
+    return {}
+
+
+@pytest.fixture(scope="session")
+def conformance(diagnoses):
     entries = []
     yield entries
     lines = ["netinduct conformance report", "=" * 28, ""]
     for num, status, note in sorted(entries):
         lines.append(f"criterion {num}: {status}")
-        for part in note:
+        for part in note + tuple(diagnoses.get(num, ())):
             lines.append(f"  - {part}")
         lines.append("")
     REPORT_PATH.write_text("\n".join(lines) + "\n")
@@ -204,6 +210,34 @@ def test_criterion_5_star_allocation_true_optimum():
     assert res.lam2 == pytest.approx(5e-3 / 21.0, rel=1e-8)
     print(f"CRITERION 5 (companion): PASS — optimizer finds the "
           f"length-proportional optimum in {elapsed:.2f}s")
+
+
+def test_criterion_5_published_values_weight_edges_by_length(diagnoses):
+    # the published allocation is the optimum when each edge is weighted by its
+    # length tau rather than by 1/tau: 5 mH * (1/tau_i) / sum_j (1/tau_j) on
+    # the leaves, which is the published triple with leaves 2 and 3 swapped
+    doc = load_network(FIXTURES / "star.json")
+    lap = build_laplacian(doc)
+    tau = np.array(doc.topology.length)
+    index = dict(zip(lap.ids, range(len(lap.ids))))
+    a = [index[i] for i in doc.topology.edge_a]
+    b = [index[i] for i in doc.topology.edge_b]
+    L_tau = np.zeros((len(index), len(index)))
+    np.add.at(L_tau, (a, a), tau)
+    np.add.at(L_tau, (b, b), tau)
+    np.add.at(L_tau, (a, b), -tau)
+    np.add.at(L_tau, (b, a), -tau)
+    res = optimize_allocation(AllocationProblem(L_tau, 5e-3))
+    leaves = (1.0 / tau) / np.sum(1.0 / tau)  # edge k joins leaf k + 1 to the centre 4
+    assert np.allclose(res.allocation, 5e-3 * np.append(leaves, 0.0), rtol=0.0, atol=1e-8)
+    swapped = res.allocation[[0, 2, 1, 3]]  # leaves 2 and 3 exchange labels
+    assert np.allclose(swapped, [2.20e-3, 1.23e-3, 1.57e-3, 0.0], rtol=0.0, atol=5e-5)
+    mh = ", ".join(f"{x:.4f}" for x in res.allocation * 1e3)
+    diagnoses.setdefault(5, []).append(
+        f"diagnosis: weighting each edge by its length tau instead of 1/tau, the "
+        f"optimizer returns ({mh}) mH = 5 mH (1/tau_i)/sum_j(1/tau_j), the published "
+        f"(2.20, 1.23, 1.57, 0) mH with leaves 2 and 3 swapped, within +-0.05 mH; the "
+        f"package keeps the 1/tau weights, the dimensionally consistent convention")
 
 
 def test_criterion_6_ieee13_design(conformance):

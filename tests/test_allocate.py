@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netinduct import (AllocationProblem, ValidationError, allocation_landscape,
-                       build_laplacian, design_nonuniform, design_uniform,
-                       eig_symmetric, kron_reduce_real, load_network,
-                       measure_report, optimize_allocation)
+from netinduct import (AllocationProblem, NetinductError, ValidationError,
+                       WeightedLaplacian, allocation_landscape, build_laplacian,
+                       design_nonuniform, design_uniform, eig_symmetric,
+                       kron_reduce_real, load_network, measure_report,
+                       optimize_allocation)
 from netinduct.allocate import _GAP_TARGET
 from conftest import make_network, random_connected_edges
 
@@ -126,6 +127,40 @@ def test_disconnected_laplacian_rejected():
     L[:2, :2] = [[1.0, -1.0], [-1.0, 1.0]]
     with pytest.raises(ValidationError, match="disconnected"):
         optimize_allocation(AllocationProblem(L, 1e-3))
+
+
+def test_bare_matrix_with_nonzero_row_sums_rejected():
+    # the identity is symmetric with lam2 > 0, but its rows do not sum to zero,
+    # so it is no Laplacian and its lift would not factor it
+    with pytest.raises(ValidationError, match="row sums are not zero"):
+        optimize_allocation(AllocationProblem(np.eye(3), 1e-3))
+
+
+def test_non_symmetric_bare_matrix_rejected():
+    # zero row sums and a connected lower triangle, but no symmetry
+    L = np.array([[2.0, -1.0, -1.0], [-2.0, 3.0, -1.0], [-1.0, -1.0, 2.0]])
+    with pytest.raises(ValidationError, match="not symmetric"):
+        optimize_allocation(AllocationProblem(L, 1e-3))
+
+
+@pytest.mark.parametrize("matrix", [5.0, np.ones(3), np.ones((2, 3)), np.ones((2, 2, 2)),
+                                    [[1.0, np.nan], [np.nan, 1.0]]],
+                         ids=["scalar", "vector", "not-square", "3-d", "nan"])
+def test_malformed_bare_matrix_rejected(matrix):
+    with pytest.raises(ValidationError, match="^laplacian: "):
+        AllocationProblem(matrix, 1e-3)
+
+
+def test_lost_lambda2_of_a_record_is_numerical_error():
+    # a record is trusted to be connected: one whose lam2 is not > 0 has lost
+    # it to round-off, a numerical error rather than an input error
+    L = np.zeros((3, 3))
+    L[:2, :2] = [[1.0, -1.0], [-1.0, 1.0]]
+    L.flags.writeable = False
+    record = WeightedLaplacian(L, (1, 2, 3))
+    with pytest.raises(NetinductError, match="lambda2 is not > 0") as info:
+        optimize_allocation(AllocationProblem(record, 1e-3))
+    assert not isinstance(info.value, ValidationError)
 
 
 def test_bounds_spending_the_budget_are_returned(fixtures_dir):

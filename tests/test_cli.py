@@ -192,26 +192,31 @@ def test_simulate_reports_route(capsys, name):
 
 # numpy.linalg calls and Laplacian assemblies per golden command on complete4;
 # a change that moves a count says why.  One Laplacian record per network
-# serves every command: its eigh is shared by the measures, the phasor
-# guard and every step of a sweep.  simulate adds the pencil: the lift's
-# Cholesky, the Cholesky of L^, the inverse of its factor and one eigh,
-# then one triangular solve per trajectory; --worst-case reuses the modes.
-# Every command validates the topology once: the copies that overrides and
-# sweep steps make validate their outputs only.  complete4
-# is optimal at the uniform split, so optimize takes no Newton step here; the
-# landscape solves its whole grid in one stacked eigvalsh.
+# serves every command: its eigvalsh is shared by the measures, the phasor
+# guard and every step of a sweep, and no command runs eigh on a Laplacian.
+# simulate adds the pencil: the lift's Cholesky, the Cholesky of L^, the
+# inverse of its factor and one eigh, then one triangular solve per
+# trajectory; --worst-case reuses the modes.  Every command validates the
+# topology once: the copies that overrides and sweep steps make validate
+# their outputs only.  optimize reads the lift (one Cholesky) and lam2 of the
+# record, which scales the solver; complete4 is optimal at the uniform
+# split, so it takes no Newton step here, and one eigvalsh of the lifted
+# form gives the reported lam2.  The landscape reads the lift only and
+# solves its whole grid in one stacked eigvalsh.
 LINALG_COUNTS = {
-    "analyze": {"laplacian": 1, "eigh": 1},
-    "analyze-lo-ro": {"laplacian": 1, "eigh": 1},
-    "analyze-ro": {"laplacian": 1, "eigh": 1},
-    "kron": {"laplacian": 1, "eigh": 1},
-    "kron-phasor": {"laplacian": 1, "eigh": 1, "solve": 1},
-    "simulate": {"laplacian": 1, "eigh": 2, "cholesky": 2, "inv": 1, "solve": 1},
-    "simulate-worst-case": {"laplacian": 1, "eigh": 2, "cholesky": 2, "inv": 1, "solve": 1},
-    "optimize-budget": {"laplacian": 1, "eigh": 2, "eigvalsh": 1},
-    "optimize-target-theta": {"laplacian": 1, "eigh": 2, "eigvalsh": 1},
-    "landscape": {"laplacian": 1, "eigh": 1, "eigvalsh": 1},
-    "sweep": {"laplacian": 1, "eigh": 1, "solve": 5},
+    "analyze": {"laplacian": 1, "eigvalsh": 1},
+    "analyze-lo-ro": {"laplacian": 1, "eigvalsh": 1},
+    "analyze-ro": {"laplacian": 1, "eigvalsh": 1},
+    "kron": {"laplacian": 1, "eigvalsh": 1},
+    "kron-phasor": {"laplacian": 1, "eigvalsh": 1, "solve": 1},
+    "simulate": {"laplacian": 1, "eigvalsh": 1, "eigh": 1, "cholesky": 2, "inv": 1,
+                 "solve": 1},
+    "simulate-worst-case": {"laplacian": 1, "eigvalsh": 1, "eigh": 1, "cholesky": 2,
+                            "inv": 1, "solve": 1},
+    "optimize-budget": {"laplacian": 1, "eigh": 1, "eigvalsh": 2, "cholesky": 1},
+    "optimize-target-theta": {"laplacian": 1, "eigh": 1, "eigvalsh": 2, "cholesky": 1},
+    "landscape": {"laplacian": 1, "eigvalsh": 1, "cholesky": 1},
+    "sweep": {"laplacian": 1, "eigvalsh": 1, "solve": 5},
 }
 
 
@@ -228,15 +233,15 @@ def test_linalg_calls_per_command(capsys, tmp_path, count_linalg, label):
 
 
 # path4 reduced onto its end nodes eliminates two: one reduction (one solve
-# of the load block, with no condition number) and one eigh of the reduced
-# record, which the allocation's lift reads; on two nodes the solver stops
-# after its first stacked eigh, and one eigvalsh gives lambda2
+# of the load block, with no condition number) and one eigvalsh of the
+# reduced record; the allocation reads its lift (one Cholesky), on two nodes
+# the solver stops after its first stacked eigh, and one eigvalsh gives lambda2
 ELIMINATING_COUNTS = {
-    "kron": (("kron",), {"solve": 1, "eigh": 1}),
+    "kron": (("kron",), {"solve": 1, "eigvalsh": 1}),
     "optimize-budget": (("optimize", "--budget", "5e-3"),
-                        {"solve": 1, "eigh": 2, "eigvalsh": 1}),
+                        {"solve": 1, "eigh": 1, "eigvalsh": 2, "cholesky": 1}),
     "optimize-target-theta": (("optimize", "--target-theta", "1.2"),
-                              {"solve": 1, "eigh": 2, "eigvalsh": 1}),
+                              {"solve": 1, "eigh": 1, "eigvalsh": 2, "cholesky": 1}),
 }
 
 
@@ -253,14 +258,77 @@ def test_linalg_calls_with_eliminated_nodes(capsys, count_linalg, label):
 def test_linalg_calls_per_newton_step(capsys, count_linalg):
     # each step of the allocation solver factors once: one stacked eigh of
     # (Z, W), one stacked eigvalsh and one solve each for predictor and
-    # corrector; plus the lift's eigh, the last iterate's eigh and lam2
+    # corrector; plus the lift's Cholesky, the record's eigvalsh, the last
+    # iterate's eigh and lam2
     code, out, _ = run(capsys, "optimize", FIXTURES / "path4.json", "--budget", "5e-3")
     assert code == 0
     passes = json.loads(out)["diagnostics"]["passes"]
     assert passes == 8
-    want = dict.fromkeys(LINALG_CALLS, 0) | {"laplacian": 1, "topology": 1, "eigh": passes + 2,
-                                             "eigvalsh": 2 * passes + 1, "solve": 2 * passes}
+    want = dict.fromkeys(LINALG_CALLS, 0) | {"laplacian": 1, "topology": 1, "eigh": passes + 1,
+                                             "eigvalsh": 2 * passes + 2, "solve": 2 * passes,
+                                             "cholesky": 1}
     assert {name: count_linalg[name] for name in want} == want
+
+
+# exponents of (length, time, impedance) in the unit of each fixture field
+# and output key; an inductance is an impedance times a time
+_FIELD_UNITS = {"length": (1, 0, 0), "r_per_len": (-1, 0, 1), "l_per_len": (-1, 1, 1),
+                "r_out": (0, 0, 1), "l_out": (0, 1, 1), "frequency_rad_s": (0, -1, 0)}
+_KEY_UNITS = {"allocation": (0, 1, 1), "budget": (0, 1, 1), "lambda2": (-1, 1, 1),
+              "upper_bound": (-1, 1, 1), "psi_nir": (0, 1, 0), "theta_nir": (0, 0, 0),
+              "gap": (0, 0, 0), "passes": (0, 0, 0), "starts": (0, 0, 0)}
+
+
+def _rescaled(doc: dict, unit: int, k: int) -> dict:
+    """``doc`` in a unit 4**k times larger, field by field: exact in binary."""
+    def scale(value, field):
+        return value * 4.0 ** (k * _FIELD_UNITS[field][unit])
+    out = json.loads(json.dumps(doc))
+    out["frequency_rad_s"] = scale(doc["frequency_rad_s"], "frequency_rad_s")
+    for field in ("r_per_len", "l_per_len"):
+        out["line"][field] = scale(doc["line"][field], field)
+    for node in out["nodes"]:
+        node["r_out"], node["l_out"] = scale(node["r_out"], "r_out"), scale(node["l_out"], "l_out")
+    for edge in out["edges"]:
+        edge["length"] = scale(edge["length"], "length")
+    return out
+
+
+@pytest.mark.parametrize("unit", [0, 1, 2], ids=["length", "time", "impedance"])
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
+def test_optimize_and_landscape_are_exactly_unit_equivariant(capsys, tmp_path, name, unit):
+    # a change of unit by a power of four is exact in binary floating point,
+    # and so is its square root: every output key moves by the exact power
+    # of its unit, with no tolerance
+    doc = json.loads((FIXTURES / name).read_text())
+    for label in ("optimize-budget", "optimize-target-theta", "landscape"):
+        argv = COMMANDS[label](doc)
+        code, want, err = run(capsys, argv[0], FIXTURES / name, *argv[1:])
+        assert code == 0, err
+        for k in (5, -7, -8, 30):
+            factor = {key: 4.0 ** (k * e[unit]) for key, e in _KEY_UNITS.items()}
+            path = tmp_path / f"{k}.json"
+            path.write_text(json.dumps(_rescaled(doc, unit, k)))
+            scaled = list(argv)
+            if "--budget" in argv:
+                at = argv.index("--budget") + 1
+                scaled[at] = repr(float(argv[at]) * factor["budget"])
+            code, got, err = run(capsys, scaled[0], path, *scaled[1:])
+            assert code == 0, err
+            if label == "landscape":
+                head, *rows = list(csv.reader(io.StringIO(want)))
+                rows = [[*map(float, row[:-1]), float(row[-1]) * factor["lambda2"]]
+                        for row in rows]
+                assert list(csv.reader(io.StringIO(got))) == [head] + [
+                    [repr(x) for x in row] for row in rows], (label, k)
+                continue
+            rep = json.loads(want)
+            rep["allocation"] = {i: x * factor["allocation"] for i, x in rep["allocation"].items()}
+            for key in ("lambda2", "psi_nir", "theta_nir"):
+                rep[key] *= factor[key]
+            for key in rep["diagnostics"]:
+                rep["diagnostics"][key] *= factor[key]
+            assert json.loads(got) == rep, (label, k)
 
 
 def test_every_command_runs_without_scipy(tmp_path):
@@ -550,6 +618,28 @@ def test_wide_spread_tree_is_never_called_invalid(capsys, tmp_path, seed):
     assert code in (0, 3), err
     if code == 3:
         assert out == "" and err.startswith("error: reduced Laplacian: ")
+    code, out, err = run(capsys, "optimize", path, "--sources", sources, "--budget", "5e-3")
+    assert code in (0, 3), err
+    if code == 3:
+        assert out == ""
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_valid_tree_at_any_length_scale_is_never_called_disconnected(capsys, tmp_path, seed):
+    # topology validation has proved the tree connected, so however far its
+    # lengths spread (here 12 decades over 16 nodes), the allocation may at
+    # worst lose lambda2 to round-off (exit 3), but never rejects the input
+    rng = np.random.default_rng(seed)
+    edges = [(a, b, float(10.0 ** rng.uniform(-6.0, 6.0)))
+             for a, b, _ in random_connected_edges(rng, 16, extra_edge_prob=0.0)]
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(network_to_dict(make_network(edges))))
+    code, out, err = run(capsys, "optimize", path, "--budget", "5e-3")
+    assert code in (0, 3), err
+    if code == 3:
+        assert out == ""
 
 
 def test_sweep_leaves_absent_angle_cells_empty(capsys, tmp_path):

@@ -141,6 +141,17 @@ def test_uniform_matched_ratio_collapses():
     assert np.allclose(rates, 0.8 / 0.004, rtol=1e-12)
 
 
+@pytest.mark.parametrize("spread, uniform", [(1e-13, True), (1e-10, False)])
+def test_uniformity_threshold_is_1e12_relative(spread, uniform):
+    # both uses of UNIFORM_RTOL: per-node outputs that agree to 1e-12 count as
+    # uniform, and a ratio r_o/l_o that meets r/l to 1e-12 is degenerate
+    edges = [(1, 2, 3.0), (2, 3, 1.0)]
+    net = make_network(edges, l_out=np.array([2e-3, 2e-3, 2e-3 * (1.0 - spread)]))
+    assert net.uniform_outputs() is uniform
+    net = make_network(edges, r=0.8, l=0.004, r_out=0.4 * (1.0 - spread), l_out=0.002)
+    assert psi_nir_uniform(net).regime == ("degenerate" if uniform else "lambda2")
+
+
 def test_uniform_rejects_nonuniform_network():
     net = make_network([(1, 2, 1.0)], l_out=np.array([1e-3, 2e-3]))
     with pytest.raises(ValueError, match="non-uniform"):

@@ -100,13 +100,14 @@ def test_laplacian_record_is_shared_and_read_only(fixtures_dir):
     swept = net.with_outputs(r_out=0.3, l_out=2e-3, omega=100.0)
     assert build_laplacian(swept) is lap
     assert build_laplacian(swept.with_outputs(l_out=1e-3)) is lap
-    assert lap.spectrum is build_laplacian(swept).spectrum
+    assert lap.eigenvalues is build_laplacian(swept).eigenvalues
+    assert lap.lift is build_laplacian(swept).lift
     # a Kron reduction is the same kind of record, read-only as well, whether
     # it eliminates nodes or (every node a source) only reorders them
     with pytest.warns(RuntimeWarning, match="nothing to eliminate"):
         reordered = kron_reduce_real(lap, lap.node_ids()[::-1])
     for rec in (lap, kron_reduce_real(lap, net.source_ids()), reordered):
-        for array in (rec.matrix, rec.spectrum.eigenvalues, rec.spectrum.eigenvectors):
+        for array in (rec.matrix, rec.eigenvalues, rec.lift):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
     # a network built afresh assembles its own record

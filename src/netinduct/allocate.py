@@ -15,9 +15,13 @@ split, by a primal-dual interior-point method (HKM direction with a
 Mehrotra predictor-corrector).  Each Newton step factors once: one stacked
 eigh of the primal slack Z and the dual W gives lam_min, Z^-1 and both
 step-length scalings, and predictor and corrector share one equilibration
-of the Newton system.  Any W >= 0 with tr W = 1 bounds the optimum from
-above by UB = b^T g + (c - sum(b)) max_i g_i, where g_i = s_i^T W s_i and
-s_i is row i of S; the dual iterates supply such W.
+of the Newton system.  The constraint map (x, t) -> A^T diag(x) A - t I is
+built once per solve as one matrix, rows vec(a_i a_i^T) and vec(-I): each
+step's quadratic forms a_i^T M a_i (with -tr M) are one product with
+vec(M), and each direction's dZ is one product with it.  Any W >= 0 with tr W = 1
+bounds the optimum from above by UB = b^T g + (c - sum(b)) max_i g_i,
+where g_i = s_i^T W s_i and s_i is row i of S; the dual iterates supply
+such W.
 The solver stops once the certified relative gap (UB - lam2) / UB is at
 most ``_GAP_TARGET`` and returns the primal iterate with the largest lam2.
 When diag(d) L is badly conditioned at the optimum (lam_max / lam2 of about
@@ -36,7 +40,8 @@ import numpy as np
 
 from .errors import NetinductError, ValidationError
 from .kron import kron_reduce_real
-from .network import PowerNetwork, WeightedLaplacian, build_laplacian
+from .network import (ROW_SUM_RTOL, SYMMETRY_RTOL, PowerNetwork, WeightedLaplacian,
+                      build_laplacian)
 
 _GAP_TARGET = 1e-9  # certified relative duality gap at which the solver stops
 _MAX_STEPS = 60  # safety net: well-conditioned problems (k = 2..12) stop within 18 steps
@@ -90,15 +95,15 @@ class AllocationResult:
 
 
 def _check_laplacian(lap: WeightedLaplacian) -> None:
-    """Symmetry; zero row sums, to the reduction's 1e-9 (else S S^T != L); lam2 > 0."""
+    """Symmetry; zero row sums, to the reduction's bound (else S S^T != L); lam2 > 0."""
     L = lap.matrix
     if L.ndim != 2 or not 2 <= len(L) == L.shape[1] or not np.all(np.isfinite(L)):
         raise ValidationError(f"laplacian: allocation needs a square matrix of finite "
                               f"numbers over at least 2 nodes, got shape {L.shape}")
     scale = max(np.max(np.abs(L)), 1e-300)
-    if np.max(np.abs(L - L.T)) > 1e-12 * scale:
+    if np.max(np.abs(L - L.T)) > SYMMETRY_RTOL * scale:
         raise ValidationError("laplacian: matrix is not symmetric")
-    if np.max(np.abs(L.sum(axis=1))) > 1e-9 * scale:
+    if np.max(np.abs(L.sum(axis=1))) > ROW_SUM_RTOL * scale:
         raise ValidationError("laplacian: row sums are not zero")
     lam = lap.eigenvalues
     if not lam[1] > 1e-12 * lam[-1]:
@@ -124,70 +129,77 @@ def _interior_point(A: np.ndarray, beta: np.ndarray):
     certified upper bound, Newton steps).
     """
     k, m = A.shape
-    free = 1.0 - beta.sum()
+    # row i is vec(a_i a_i^T) and row k is vec(-I), so P @ vec(W) = (g, -tr W)
+    P = np.vstack([(A[:, :, None] * A[:, None, :]).reshape(k, m * m), -np.eye(m).ravel()])
+    free = 1.0 - float(beta.sum())
     x = beta + free / k
-    eye = np.eye(m)
-    W = eye / m
-    g = np.einsum("ij,ij->i", A, A) / m
-    nu = g.max() + 1.0
+    W = np.eye(m) / m
+    g = P[:k] @ W.ravel()
+    nu = float(g.max()) + 1.0
     u = nu - g
-    lb_best, x_best, ub_best = -np.inf, x, np.inf
+    # Schur complement of the HKM Newton system in (dx, dt, dnu), refilled in
+    # place each step but for its budget border
+    K = np.zeros((k + 2, k + 2))
+    K[:k, k + 1] = K[k + 1, :k] = 1.0
+    K_x, K_t, K_diag = K[:k, :k], K[:k + 1, k], K.reshape(-1)[:k * (k + 3):k + 3]
+    rhs = np.empty(k + 2)
+    rhs_xt, rhs_x = rhs[:k + 1], rhs[:k]
+    lb_best, x_best, ub_best = -math.inf, x, math.inf
     steps = 0
     while True:
         s = x - beta
-        AW = A @ W
-        g = np.einsum("ij,ij->i", AW, A)
-        (lam, w), (V, Q) = np.linalg.eigh(np.stack([(A.T * x) @ A, W]))
+        res = P @ W.ravel()  # (g, -tr W)
+        B = A.T * np.sqrt(x)  # A^T diag(x) A = B B^T, exactly symmetric
+        vals, vecs = np.linalg.eigh(np.array([B @ B.T, W]))
+        lam = float(vals[0, 0])
         if steps == 0:
-            t = lam[0] - 1.0
-        z = lam - t
-        if lam[0] > lb_best:
-            lb_best, x_best = float(lam[0]), x
-        ub_best = min(ub_best, _upper_bound(g / np.trace(W), beta, free))
+            t = lam - 1.0
+        vals[0] -= t  # the eigenvalues z of Z, then w of W
+        if lam > lb_best:
+            lb_best, x_best = lam, x
+        ub_best = min(ub_best, _upper_bound(res[:k] / -float(res[k]), beta, free))
         if (ub_best - lb_best <= _GAP_TARGET * ub_best or steps == _MAX_STEPS
-                or z[0] <= 0 or w[0] <= 0):  # past the boundary, round-off ends the run
+                or vals[0, 0] <= 0 or vals[1, 0] <= 0):  # past the boundary, round-off ends the run
             break
-        Z = (V * z) @ V.T
-        Zi = (V / z) @ V.T
-        F = np.stack([V.T / np.sqrt(z)[:, None], Q.T / np.sqrt(w)[:, None]])
-        mu = (np.sum(Z * W) + s @ u) / (m + k)
-        AZi = A @ Zi
-        h = np.einsum("ij,ij->i", AZi @ W, A)  # a_i^T Z^-1 W a_i
-        # Schur complement of the HKM Newton system in (dx, dt, dnu), Ruiz-equilibrated
-        K = np.zeros((k + 2, k + 2))
-        K[:k, :k] = (AW @ A.T) * (AZi @ A.T)
-        K[np.arange(k), np.arange(k)] += u / s
-        K[:k, k] = K[k, :k] = -h
-        K[k, k] = np.sum(Zi * W.T)
-        K[:k, k + 1] = K[k + 1, :k] = 1.0
-        e = np.ones(k + 2)
-        for _ in range(3):
-            r = 1.0 / np.sqrt(np.abs(K).max(axis=1))
-            K = K * r[:, None] * r[None, :]
-            e *= r
-        r_dual = g + u - nu
-        r_trace = np.trace(W) - 1.0
-        r_budget = x.sum() - 1.0
+        Ft = vecs / np.sqrt(vals)[:, None, :]  # V diag(z^-1/2) and Q diag(w^-1/2): F^T
+        F = Ft.transpose(0, 2, 1)
+        Zi = Ft[0] @ F[0]
+        Z = (vecs[0] * vals[0]) @ vecs[0].T
+        mu = (float(np.vdot(Z, W)) + float(s @ u)) / (m + k)
+        us = u / s
+        np.multiply((A @ W) @ A.T, (A @ Zi) @ A.T, out=K_x)
+        K_diag += us
+        np.negative(P @ (Zi @ W).ravel(), out=K_t)  # (-a_i^T Z^-1 W a_i, tr Z^-1 W)
+        K[k, :k] = K_t[:k]
+        Ks, e = K, 1.0
+        for _ in range(3):  # Ruiz equilibration
+            r = np.abs(Ks).max(axis=1) ** -0.5
+            Ks = r[:, None] * Ks * r
+            e = e * r
+        res[:k] += u - nu  # dual residuals (g + u - nu, 1 - tr W)
+        res[k] += 1.0
+        rhs[k + 1] = 1.0 - float(x.sum())
 
         def direction(Wc, uc):
             """Newton step towards W Z = mu' I, u s = mu'; Wc, uc carry mu' and the corrector."""
-            rhs = np.concatenate([r_dual + np.einsum("ij,ij->i", A @ Wc, A) + uc,
-                                  [-r_trace - np.trace(Wc)], [-r_budget]])
-            sol = e * np.linalg.solve(K, e * rhs)
-            dx, dt, dnu = sol[:k], sol[k], sol[k + 1]
-            dZ = (A.T * dx) @ A - dt * eye
+            np.add(res, P @ Wc.ravel(), out=rhs_xt)
+            np.add(rhs_x, uc, out=rhs_x)
+            sol = e * np.linalg.solve(Ks, e * rhs)
+            dx = sol[:k]
+            dZ = (sol[:k + 1] @ P).reshape(m, m)  # A^T diag(dx) A - dt I
             T = W @ dZ @ Zi
             dW = Wc - 0.5 * (T + T.T)
-            du = uc - (u / s) * dx
+            du = uc - us * dx
             # 0.95 of the way to the boundary of Z, W, s, u > 0, and at most 1
-            low = min(np.linalg.eigvalsh(F @ np.stack([dZ, dW]) @ F.transpose(0, 2, 1)).min(),
-                      np.min(dx / s), np.min(du / u))
-            return dx, dt, dnu, dZ, dW, du, 1.0 if low >= -0.95 else -0.95 / low
+            low = min(float(np.linalg.eigvalsh(F @ np.array([dZ, dW]) @ Ft).min()),
+                      float((dx / s).min()), float((du / u).min()))
+            return (dx, float(sol[k]), float(sol[k + 1]), dZ, dW, du,
+                    1.0 if low >= -0.95 else -0.95 / low)
 
         try:
             dx, dt, dnu, dZ, dW, du, step = direction(-W, -u)  # predictor
-            mu_aff = (np.sum((Z + step * dZ) * (W + step * dW))
-                      + (s + step * dx) @ (u + step * du)) / (m + k)
+            mu_aff = (float(np.vdot(Z + step * dZ, W + step * dW))
+                      + float((s + step * dx) @ (u + step * du))) / (m + k)
             sigma_mu = mu * (mu_aff / mu) ** 3
             C = dW @ dZ @ Zi
             dx, dt, dnu, dZ, dW, du, step = direction(
@@ -195,11 +207,11 @@ def _interior_point(A: np.ndarray, beta: np.ndarray):
         except np.linalg.LinAlgError:  # round-off has taken an iterate to the boundary
             break
         x = x + step * dx
-        t = t + step * dt
+        t += step * dt
         W = W + step * dW
         W = 0.5 * (W + W.T)
         u = u + step * du
-        nu = nu + step * dnu
+        nu += step * dnu
         steps += 1
     return x_best, lb_best, ub_best, steps
 

@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 input error, 3 numerical error.  An override
 (--lo, --ro, --omega) that a command would not read is an input error.  All
 numeric JSON output uses Python's round-trip float representation; a NaN or
 infinite result is not JSON, so it is a numerical error naming its key.
+When optimize certifies a gap above the solver's target, it says so on stderr.
 """
 
 from __future__ import annotations
@@ -191,6 +192,9 @@ def cmd_optimize(args) -> int:
         "theta_nir": res.theta_nir,
         "diagnostics": res.diagnostics,
     }), args)
+    if res.diagnostics["gap"] > allocate._GAP_TARGET:
+        print(f"warning: certified gap {res.diagnostics['gap']!r} misses the target "
+              f"{allocate._GAP_TARGET!r}", file=sys.stderr)
     return 0
 
 

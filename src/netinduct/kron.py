@@ -30,7 +30,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .errors import NetinductError, SingularMatrixError, ValidationError
-from .network import PowerNetwork, WeightedLaplacian, build_laplacian
+from .network import ROW_SUM_RTOL, PowerNetwork, WeightedLaplacian, build_laplacian
 
 EDGE_EPS_SCALE = 1e-9  # relative threshold for absent-edge classification
 ANGLE_CSV_HEADER = ("i", "j", "class", "R_branch", "X_branch", "theta_rad")
@@ -91,12 +91,14 @@ def kron_reduce_real(lap: WeightedLaplacian, sources: Sequence[int]) -> Weighted
     """Schur complement of the load block: L_SS - L_SL L_LL^{-1} L_LS.
 
     ``sources`` are node ids kept, in the order given (a repeated id is
-    dropped); all other nodes are eliminated.  The result is a read-only
-    Laplacian record over the sources, whose eigenvalues and lift every
-    consumer shares.  When every node is a source nothing is eliminated, and
-    the record holds ``lap.matrix`` permuted into the order of ``sources``.
-    A load block that is exactly singular (only a hand-built record has one)
-    raises ``SingularMatrixError``.  Row sums further than 1e-9 of the
+    dropped); all other nodes are eliminated.  One gather permutes L to the
+    sources, in that order, then the loads in ascending order, and the four
+    blocks are slices of it.  The result is a read-only Laplacian record
+    over the sources, whose eigenvalues and lift every consumer shares.
+    When every node is a source nothing is eliminated, and the record holds
+    ``lap.matrix`` permuted into the order of ``sources``.  A load block
+    that is exactly singular (only a hand-built record has one) raises
+    ``SingularMatrixError``.  Row sums further than ``ROW_SUM_RTOL`` of the
     largest entry from zero mean that round-off has taken the result too far
     to be a Laplacian: a ``NetinductError``, numerical rather than input.
     """
@@ -106,26 +108,29 @@ def kron_reduce_real(lap: WeightedLaplacian, sources: Sequence[int]) -> Weighted
     unknown = [s for s in src if s not in index]
     if unknown:
         raise ValidationError(f"sources: unknown node ids {unknown}")
-    if len(src) < 2:
+    k = len(src)
+    if k < 2:
         raise ValidationError(
             f"sources: need at least 2 source nodes, got {src or 'an empty source set'}")
 
     s_idx = [index[s] for s in src]
-    L = lap.matrix
-    if len(src) == len(ids):
+    is_load = np.ones(len(ids), dtype=bool)
+    is_load[s_idx] = False
+    perm = np.concatenate((s_idx, np.flatnonzero(is_load)))
+    M = lap.matrix[perm][:, perm]
+    L_red = M[:k, :k]
+    if k == len(ids):
         warnings.warn("all nodes are sources; nothing to eliminate", RuntimeWarning,
                       stacklevel=2)
-        L_red = L[np.ix_(s_idx, s_idx)]
     else:
-        l_idx = sorted(set(range(len(ids))).difference(s_idx))
         try:
-            X = np.linalg.solve(L[np.ix_(l_idx, l_idx)], L[np.ix_(l_idx, s_idx)])
+            X = np.linalg.solve(M[k:, k:], M[k:, :k])
         except np.linalg.LinAlgError:
             raise SingularMatrixError(
                 "load block L_LL is singular (disconnected load island)") from None
-        L_red = L[np.ix_(s_idx, s_idx)] - L[np.ix_(s_idx, l_idx)] @ X
+        L_red = L_red - M[:k, k:] @ X
         L_red = 0.5 * (L_red + L_red.T)  # symmetrize round-off
-        if np.max(np.abs(L_red.sum(axis=1))) > 1e-9 * max(np.max(np.abs(L_red)), 1e-300):
+        if np.max(np.abs(L_red.sum(axis=1))) > ROW_SUM_RTOL * max(np.max(np.abs(L_red)), 1e-300):
             raise NetinductError("reduced Laplacian: row sums not zero (accuracy lost "
                                  "to round-off)")
 

@@ -38,6 +38,8 @@ from .errors import ParseError, ValidationError
 
 ROLES = ("source", "load")
 UNIFORM_RTOL = 1e-12  # relative spread below which per-node outputs count as uniform
+ROW_SUM_RTOL = 1e-9  # largest row sum of a Laplacian record, relative to its largest entry
+SYMMETRY_RTOL = 1e-12  # largest asymmetry of a Laplacian record, relative to its largest entry
 
 
 @dataclass(frozen=True)

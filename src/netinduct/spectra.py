@@ -14,6 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SpectralMismatchError
+from .network import SYMMETRY_RTOL
 
 _ZERO_RTOL = 1e-8  # smallest eigenvalue of a Laplacian, relative to max(|eigenvalue|, 1)
 
@@ -30,12 +31,12 @@ class Connectivity(NamedTuple):
     value: float
 
 
-def _check_symmetric(A: np.ndarray, rtol: float = 1e-12) -> None:
+def _check_symmetric(A: np.ndarray) -> None:
     scale = max(np.max(np.abs(A)), 1e-300)
     asym = np.max(np.abs(A - A.T))
-    if asym > rtol * scale:
-        raise SpectralMismatchError(
-            f"matrix is not symmetric: max asymmetry {asym:.3e} exceeds {rtol:.1e} * {scale:.3e}")
+    if asym > SYMMETRY_RTOL * scale:
+        raise SpectralMismatchError(f"matrix is not symmetric: max asymmetry {asym:.3e} "
+                                    f"exceeds {SYMMETRY_RTOL:.1e} * {scale:.3e}")
 
 
 def eig_symmetric(A: np.ndarray) -> Spectrum:

@@ -82,6 +82,12 @@ def random_connected_edges(rng: np.random.Generator, n: int,
     return edges
 
 
+def wide_spread_tree_edges(rng: np.random.Generator, n: int):
+    """Random tree over n nodes, lengths log-uniform over [1e-6, 1e6] (12 decades)."""
+    return [(a, b, float(10.0 ** rng.uniform(-6.0, 6.0)))
+            for a, b, _ in random_connected_edges(rng, n, extra_edge_prob=0.0)]
+
+
 def random_uniform_network(rng: np.random.Generator, n: int) -> PowerNetwork:
     """Random connected network with uniform outputs in the r_o/l_o < r/l regime."""
     edges = random_connected_edges(rng, n)

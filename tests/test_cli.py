@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from golden.regenerate import COMMANDS, CSV
 from netinduct import NetinductError, cli, network_to_dict
 from netinduct.cli import main
-from conftest import FIXTURES, LINALG_CALLS, make_network, random_connected_edges
+from conftest import FIXTURES, LINALG_CALLS, make_network, wide_spread_tree_edges
 
 
 def run(capsys, *argv):
@@ -507,6 +507,27 @@ def test_non_finite_budget_is_input_error(capsys, command, budget):
     assert err.startswith("error: budget:")
 
 
+def test_optimize_warns_when_its_gap_misses_the_target(capsys, tmp_path):
+    # a 16-node tree with lengths over 12 decades stalls short of the target
+    # (it did so before the per-step rewrite too): the command still exits 0
+    # with the same document, and says so in one stderr line
+    rng = np.random.default_rng(1)
+    edges = wide_spread_tree_edges(rng, 16)
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(network_to_dict(make_network(edges))))
+    dest = tmp_path / "out.json"
+    code, out, err = run(capsys, "optimize", path, "--budget", "5e-3", "-o", dest)
+    assert code == 0 and out == ""
+    code, out, err_stdout = run(capsys, "optimize", path, "--budget", "5e-3")
+    assert code == 0 and out == dest.read_text()
+    gap = json.loads(out)["diagnostics"]["gap"]
+    assert gap > 1e-9
+    assert err == err_stdout == f"warning: certified gap {gap!r} misses the target 1e-09\n"
+    # path4 certifies a gap just below the target (golden file): no warning
+    code, out, err = run(capsys, "optimize", FIXTURES / "path4.json", "--budget", "5e-3")
+    assert code == 0 and 0.5e-9 < json.loads(out)["diagnostics"]["gap"] <= 1e-9 and err == ""
+
+
 def test_optimize_requires_budget_or_target(capsys):
     code, _, err = run(capsys, "optimize", FIXTURES / "star.json")
     assert code == 2 and "error:" in err
@@ -609,8 +630,7 @@ def test_wide_spread_tree_is_never_called_invalid(capsys, tmp_path, seed):
     # sources may lose its row sums to round-off (exit 3, naming the reduced
     # Laplacian) but never calls the network invalid (exit 2)
     rng = np.random.default_rng(seed)
-    edges = [(a, b, float(10.0 ** rng.uniform(-6.0, 6.0)))
-             for a, b, _ in random_connected_edges(rng, 40, extra_edge_prob=0.0)]
+    edges = wide_spread_tree_edges(rng, 40)
     path = tmp_path / "tree.json"
     path.write_text(json.dumps(network_to_dict(make_network(edges))))
     sources = ",".join(map(str, rng.choice(np.arange(1, 41), size=4, replace=False)))
@@ -632,8 +652,7 @@ def test_valid_tree_at_any_length_scale_is_never_called_disconnected(capsys, tmp
     # lengths spread (here 12 decades over 16 nodes), the allocation may at
     # worst lose lambda2 to round-off (exit 3), but never rejects the input
     rng = np.random.default_rng(seed)
-    edges = [(a, b, float(10.0 ** rng.uniform(-6.0, 6.0)))
-             for a, b, _ in random_connected_edges(rng, 16, extra_edge_prob=0.0)]
+    edges = wide_spread_tree_edges(rng, 16)
     path = tmp_path / "tree.json"
     path.write_text(json.dumps(network_to_dict(make_network(edges))))
     code, out, err = run(capsys, "optimize", path, "--budget", "5e-3")

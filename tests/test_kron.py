@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,30 @@ def test_reduced_matrix_is_laplacian():
         off = M - np.diag(np.diag(M))
         assert np.max(off) <= 1e-12 * np.max(np.abs(M))
         assert np.all(np.linalg.eigvalsh(M) >= -1e-12 * np.max(np.abs(M)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1), k=st.integers(2, 12))
+def test_reduction_is_the_block_schur_complement(n, seed, k):
+    # lengths over six decades make the load block ill-conditioned enough that
+    # an elimination in another order misses 1e-14 on some of these graphs
+    rng = np.random.default_rng(seed)
+    edges = [(a, b, float(10.0 ** rng.uniform(-3.0, 3.0)))
+             for a, b, _ in random_connected_edges(rng, n)]
+    lap = build_laplacian(make_network(edges))
+    sources = [int(i) for i in rng.permutation(n)[:min(k, n)] + 1]  # ids are 1..n
+    s = [lap.ids.index(i) for i in sources]
+    loads = [j for j in range(n) if j not in s]
+    L = lap.matrix
+    expect = L[np.ix_(s, s)]
+    if loads:
+        expect = expect - L[np.ix_(s, loads)] @ np.linalg.solve(L[np.ix_(loads, loads)],
+                                                                 L[np.ix_(loads, s)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # all nodes are sources
+        red = kron_reduce_real(lap, sources)
+    assert red.node_ids() == tuple(sources)
+    assert np.max(np.abs(red.matrix - expect)) <= 1e-14 * np.max(np.abs(expect))
 
 
 def test_real_reduction_errors(fixtures_dir):

@@ -15,15 +15,14 @@ split, by a primal-dual interior-point method (HKM direction with a
 Mehrotra predictor-corrector).  Each Newton step factors once: one stacked
 eigh of the primal slack Z and the dual W gives lam_min, Z^-1 and both
 step-length scalings, and predictor and corrector share one equilibration
-of the Newton system.  The constraint map (x, t) -> A^T diag(x) A - t I is
-built once per solve as one matrix, rows vec(a_i a_i^T) and vec(-I): each
-step's quadratic forms a_i^T M a_i (with -tr M) are one product with
-vec(M), and each direction's dZ is one product with it.  Any W >= 0 with tr W = 1
-bounds the optimum from above by UB = b^T g + (c - sum(b)) max_i g_i,
-where g_i = s_i^T W s_i and s_i is row i of S; the dual iterates supply
-such W.
+of the Newton system.  A step's work is O(k^2 m) in O(k^2) memory: the
+products a_i^T W a_j give g (their diagonal) and the Newton matrix, Z^-1
+and the Z-scaling share V diag(z^-1/2), <Z, W> = x^T g - t tr W, and the
+predictor's right-hand side and mu_aff are closed forms.  Any W >= 0 with
+tr W = 1 bounds the optimum from above by UB = b^T g + (c - sum(b)) max_i g_i,
+where g_i = s_i^T W s_i and s_i is row i of S; the dual iterates supply such W.
 The solver stops once the certified relative gap (UB - lam2) / UB is at
-most ``_GAP_TARGET`` and returns the primal iterate with the largest lam2.
+most ``GAP_TARGET`` and returns the primal iterate with the largest lam2.
 When diag(d) L is badly conditioned at the optimum (lam_max / lam2 of about
 1e3 or more, as when lower bounds fix nearly the whole budget), double
 precision can stall it short of the target; it then stops and reports the
@@ -43,7 +42,7 @@ from .kron import kron_reduce_real
 from .network import (ROW_SUM_RTOL, SYMMETRY_RTOL, PowerNetwork, WeightedLaplacian,
                       build_laplacian)
 
-_GAP_TARGET = 1e-9  # certified relative duality gap at which the solver stops
+GAP_TARGET = 1e-9  # certified relative duality gap at which the solver stops
 _MAX_STEPS = 60  # safety net: well-conditioned problems (k = 2..12) stop within 18 steps
 
 
@@ -129,26 +128,17 @@ def _interior_point(A: np.ndarray, beta: np.ndarray):
     certified upper bound, Newton steps).
     """
     k, m = A.shape
-    # row i is vec(a_i a_i^T) and row k is vec(-I), so P @ vec(W) = (g, -tr W)
-    P = np.vstack([(A[:, :, None] * A[:, None, :]).reshape(k, m * m), -np.eye(m).ravel()])
     free = 1.0 - float(beta.sum())
     x = beta + free / k
     W = np.eye(m) / m
-    g = P[:k] @ W.ravel()
+    g = np.einsum("ij,ij->i", A, A) / m
     nu = float(g.max()) + 1.0
     u = nu - g
-    # Schur complement of the HKM Newton system in (dx, dt, dnu), refilled in
-    # place each step but for its budget border
-    K = np.zeros((k + 2, k + 2))
-    K[:k, k + 1] = K[k + 1, :k] = 1.0
-    K_x, K_t, K_diag = K[:k, :k], K[:k + 1, k], K.reshape(-1)[:k * (k + 3):k + 3]
-    rhs = np.empty(k + 2)
-    rhs_xt, rhs_x = rhs[:k + 1], rhs[:k]
     lb_best, x_best, ub_best = -math.inf, x, math.inf
     steps = 0
     while True:
         s = x - beta
-        res = P @ W.ravel()  # (g, -tr W)
+        AWA = (A @ W) @ A.T  # a_i^T W a_j; its diagonal is g
         B = A.T * np.sqrt(x)  # A^T diag(x) A = B B^T, exactly symmetric
         vals, vecs = np.linalg.eigh(np.array([B @ B.T, W]))
         lam = float(vals[0, 0])
@@ -157,53 +147,63 @@ def _interior_point(A: np.ndarray, beta: np.ndarray):
         vals[0] -= t  # the eigenvalues z of Z, then w of W
         if lam > lb_best:
             lb_best, x_best = lam, x
-        ub_best = min(ub_best, _upper_bound(res[:k] / -float(res[k]), beta, free))
-        if (ub_best - lb_best <= _GAP_TARGET * ub_best or steps == _MAX_STEPS
+        g = AWA.diagonal()
+        tr_W = float(vals[1].sum())
+        ub_best = min(ub_best, _upper_bound(g / tr_W, beta, free))
+        if (ub_best - lb_best <= GAP_TARGET * ub_best or steps == _MAX_STEPS
                 or vals[0, 0] <= 0 or vals[1, 0] <= 0):  # past the boundary, round-off ends the run
             break
         Ft = vecs / np.sqrt(vals)[:, None, :]  # V diag(z^-1/2) and Q diag(w^-1/2): F^T
         F = Ft.transpose(0, 2, 1)
         Zi = Ft[0] @ F[0]
-        Z = (vecs[0] * vals[0]) @ vecs[0].T
-        mu = (float(np.vdot(Z, W)) + float(s @ u)) / (m + k)
+        mu = (float(x @ g) - t * tr_W + float(s @ u)) / (m + k)  # <Z, W> = x^T g - t tr W
         us = u / s
-        np.multiply((A @ W) @ A.T, (A @ Zi) @ A.T, out=K_x)
-        K_diag += us
-        np.negative(P @ (Zi @ W).ravel(), out=K_t)  # (-a_i^T Z^-1 W a_i, tr Z^-1 W)
-        K[k, :k] = K_t[:k]
-        Ks, e = K, 1.0
-        for _ in range(3):  # Ruiz equilibration
-            r = np.abs(Ks).max(axis=1) ** -0.5
-            Ks = r[:, None] * Ks * r
+        AZi = A @ Zi
+        # Schur complement of the HKM Newton system in (dx, dt, dnu), Ruiz-equilibrated
+        K = np.zeros((k + 2, k + 2))
+        K[:k, :k] = AWA * (AZi @ A.T)
+        K.flat[:k * (k + 3):k + 3] += us  # diagonal of the dx block
+        K[:k, k] = K[k, :k] = -np.einsum("ij,ij->i", AZi @ W, A)  # -a_i^T Z^-1 W a_i
+        K[k, k] = np.vdot(Zi, W)  # tr Z^-1 W
+        K[:k, k + 1] = K[k + 1, :k] = 1.0
+        e = 1.0
+        for _ in range(3):
+            r = np.abs(K).max(axis=1) ** -0.5
+            K = r[:, None] * K * r
             e = e * r
-        res[:k] += u - nu  # dual residuals (g + u - nu, 1 - tr W)
-        res[k] += 1.0
-        rhs[k + 1] = 1.0 - float(x.sum())
+        r_dual = g + u - nu
+        r_trace = tr_W - 1.0
+        r_budget = float(x.sum()) - 1.0
 
-        def direction(Wc, uc):
+        def direction(Wc, uc, rhs):
             """Newton step towards W Z = mu' I, u s = mu'; Wc, uc carry mu' and the corrector."""
-            np.add(res, P @ Wc.ravel(), out=rhs_xt)
-            np.add(rhs_x, uc, out=rhs_x)
-            sol = e * np.linalg.solve(Ks, e * rhs)
-            dx = sol[:k]
-            dZ = (sol[:k + 1] @ P).reshape(m, m)  # A^T diag(dx) A - dt I
+            sol = e * np.linalg.solve(K, e * rhs)
+            dx, dt = sol[:k], float(sol[k])
+            dZ = (A.T * dx) @ A
+            dZ.flat[::m + 1] -= dt
             T = W @ dZ @ Zi
             dW = Wc - 0.5 * (T + T.T)
             du = uc - us * dx
             # 0.95 of the way to the boundary of Z, W, s, u > 0, and at most 1
             low = min(float(np.linalg.eigvalsh(F @ np.array([dZ, dW]) @ Ft).min()),
                       float((dx / s).min()), float((du / u).min()))
-            return (dx, float(sol[k]), float(sol[k + 1]), dZ, dW, du,
+            return (dx, dt, float(sol[k + 1]), dZ, dW, du,
                     1.0 if low >= -0.95 else -0.95 / low)
 
         try:
-            dx, dt, dnu, dZ, dW, du, step = direction(-W, -u)  # predictor
-            mu_aff = (float(np.vdot(Z + step * dZ, W + step * dW))
-                      + float((s + step * dx) @ (u + step * du))) / (m + k)
+            # rhs = (r_dual + a_i^T Wc a_i + uc, -r_trace - tr Wc, -r_budget), whose
+            # residuals cancel for the predictor's Wc = -W and uc = -u
+            rhs = np.full(k + 2, -nu)
+            rhs[k:] = 1.0, -r_budget
+            dx, dt, dnu, dZ, dW, du, step = direction(-W, -u, rhs)
+            # and <dZ, W> + <Z, dW> = -<Z, W>, dx u + s du = -s u
+            mu_aff = (1 - step) * mu + step**2 * float(np.vdot(dZ, dW) + dx @ du) / (m + k)
             sigma_mu = mu * (mu_aff / mu) ** 3
             C = dW @ dZ @ Zi
-            dx, dt, dnu, dZ, dW, du, step = direction(
-                sigma_mu * Zi - W - 0.5 * (C + C.T), (sigma_mu - s * u - dx * du) / s)
+            Wc, uc = sigma_mu * Zi - W - 0.5 * (C + C.T), (sigma_mu - s * u - dx * du) / s
+            rhs[:k] = r_dual + np.einsum("ij,ij->i", A @ Wc, A) + uc
+            rhs[k] = -r_trace - Wc.trace()
+            dx, dt, dnu, dZ, dW, du, step = direction(Wc, uc, rhs)
         except np.linalg.LinAlgError:  # round-off has taken an iterate to the boundary
             break
         x = x + step * dx

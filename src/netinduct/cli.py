@@ -192,9 +192,9 @@ def cmd_optimize(args) -> int:
         "theta_nir": res.theta_nir,
         "diagnostics": res.diagnostics,
     }), args)
-    if res.diagnostics["gap"] > allocate._GAP_TARGET:
+    if res.diagnostics["gap"] > allocate.GAP_TARGET:
         print(f"warning: certified gap {res.diagnostics['gap']!r} misses the target "
-              f"{allocate._GAP_TARGET!r}", file=sys.stderr)
+              f"{allocate.GAP_TARGET!r}", file=sys.stderr)
     return 0
 
 

@@ -9,7 +9,7 @@ from netinduct import (AllocationProblem, NetinductError, ValidationError,
                        design_nonuniform, design_uniform, eig_symmetric,
                        kron_reduce_real, load_network, measure_report,
                        optimize_allocation)
-from netinduct.allocate import _GAP_TARGET
+from netinduct.allocate import GAP_TARGET
 from conftest import make_network, random_connected_edges, wide_spread_tree_edges
 
 
@@ -168,7 +168,7 @@ def test_bounds_spending_the_budget_are_returned(fixtures_dir):
     res = optimize_allocation(_star_problem(fixtures_dir, lower_bounds=bounds))
     assert np.array_equal(res.allocation, bounds)
     assert res.diagnostics["passes"] == 0
-    assert res.diagnostics["gap"] <= _GAP_TARGET
+    assert res.diagnostics["gap"] <= GAP_TARGET
 
 
 # --- certified solver, by property ------------------------------------------------
@@ -213,7 +213,7 @@ def _check_certified(L, budget, bounds, max_gap):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(allocation_problems())
 def test_allocation_feasible_and_certified(problem):
-    _check_certified(*problem, max_gap=_GAP_TARGET)
+    _check_certified(*problem, max_gap=GAP_TARGET)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -256,18 +256,22 @@ def test_star_allocation_meets_closed_form(k, seed, log_lengths, budget):
     assert np.max(np.abs(res.allocation - expect)) <= 1e-8 * budget
 
 
-def test_wide_spread_trees_stall_no_more_than_before():
-    # on these trees diag(d) L reaches lam_max / lam2 ~ 1e11 at the optimum,
-    # so double precision stalls the solver short of its target (the module
-    # docstring); the solver before the per-step rewrite, run on these same
-    # 30 trees, certified 26 gaps above the target, the largest 3.58e-4
-    gaps = []
+def test_wide_spread_gaps_sit_at_the_round_off_floor():
+    # on these trees diag(d) L reaches lam_max / lam2 ~ 1e6..1e12 at the
+    # optimum, and double precision stalls the solver short of its target
+    # (the module docstring): lam2 is read from an eigh whose absolute error
+    # is eps lam_max, so a stall may leave a gap of about eps cond, but a
+    # stalled gap must sit at that floor, not above it.  Over 400 such trees (rng
+    # seeds 0-399) the worst stalled gap / (eps cond) was 30 both before and
+    # after the per-step rewrite, and 47 in another form of the step's
+    # arithmetic that is equal in exact arithmetic
+    eps = np.finfo(float).eps
     for seed in range(30):
-        net = make_network(wide_spread_tree_edges(np.random.default_rng(seed), 16))
-        gaps.append(optimize_allocation(AllocationProblem(build_laplacian(net), 5e-3))
-                    .diagnostics["gap"])
-    assert sum(gap > _GAP_TARGET for gap in gaps) <= 26
-    assert max(gaps) <= 3.58e-4
+        lap = build_laplacian(make_network(wide_spread_tree_edges(np.random.default_rng(seed), 16)))
+        res = optimize_allocation(AllocationProblem(lap, 5e-3))
+        root_d = np.sqrt(res.allocation)
+        ev = np.linalg.eigvalsh(root_d[:, None] * lap.matrix * root_d)
+        assert res.diagnostics["gap"] <= max(GAP_TARGET, 200 * eps * ev[-1] / res.lam2), seed
 
 
 # --- landscape ----------------------------------------------------------------
